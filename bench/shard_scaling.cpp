@@ -12,6 +12,11 @@
 //              perf gate enforces a floor only when the recorded hw_threads
 //              show the runner can actually parallelise.
 //
+// Per shard count the JSON also carries the fingerprint run's window
+// statistics (ShardedEngine::round_stats): rounds, shard-rounds that ran no
+// event, and cross-shard mailbox messages — the barrier count and the share
+// of it that bought no work.
+//
 // A finish-time hash (FNV-1a over total_time and every rank's completion
 // time) is reported alongside — a compact cross-host fingerprint of the
 // schedule that the gate also pins.
@@ -58,6 +63,12 @@ std::string format_ms(double ms) {
   return buf;
 }
 
+std::string format_fixed(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", v);
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,7 +91,8 @@ int main(int argc, char** argv) {
   const coll::Tree tree = coll::build_topo_tree(setup.machine, world, 0);
   const coll::CollOpts opts{.segment_size = seg};
 
-  Table table({"shards", "sim_ms", "wall_ms", "speedup"});
+  Table table({"shards", "sim_ms", "wall_ms", "speedup", "rounds",
+               "idle_shard_rounds", "mailbox_msgs"});
   bench::JsonReport report("shard_scaling");
   report.set_meta("ranks", static_cast<std::int64_t>(ranks));
   report.set_meta("msg_bytes", static_cast<std::int64_t>(msg));
@@ -114,6 +126,7 @@ int main(int argc, char** argv) {
     h = fnv1a64(result.rank_finish.data(),
                 result.rank_finish.size() * sizeof(TimeNs), h);
     const std::string hash = hex64(h);
+    const runtime::ShardedEngine::RoundStats stats = engine.round_stats();
 
     const auto start = std::chrono::steady_clock::now();
     const double sim_ms =
@@ -136,9 +149,25 @@ int main(int argc, char** argv) {
                 << " vs " << base_hash << "\n";
       return 1;
     }
-    report.set_meta("wall_ms_" + std::to_string(shards), format_ms(wall_ms));
-    table.add_row_numeric(std::to_string(shards),
-                          {sim_ms, wall_ms, base_wall_ms / wall_ms});
+    // Appended, not "literal" + string: the latter trips GCC 12's
+    // -Wrestrict false positive in Release builds.
+    const auto key = [shards](const char* name) {
+      std::string k = name;
+      k += '_';
+      k += std::to_string(shards);
+      return k;
+    };
+    report.set_meta(key("wall_ms"), format_ms(wall_ms));
+    report.set_meta(key("rounds"), static_cast<std::int64_t>(stats.rounds));
+    report.set_meta(key("idle_shard_rounds"),
+                    static_cast<std::int64_t>(stats.idle_shard_rounds));
+    report.set_meta(key("mailbox_msgs"),
+                    static_cast<std::int64_t>(stats.mailbox_msgs));
+    table.add_row({std::to_string(shards), format_fixed(sim_ms),
+                   format_fixed(wall_ms), format_fixed(base_wall_ms / wall_ms),
+                   std::to_string(stats.rounds),
+                   std::to_string(stats.idle_shard_rounds),
+                   std::to_string(stats.mailbox_msgs)});
   }
   table.print(std::cout);
   std::cout << "\n(simulated time and finish hash identical across all shard "

@@ -9,14 +9,12 @@ namespace adapt::bench {
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     ADAPT_CHECK(arg.rfind("--", 0) == 0) << "expected --flag, got " << arg;
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args_[arg] = argv[++i];
-    } else {
-      args_[arg] = "1";
-    }
+    const bool has_value =
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+    args_.insert_or_assign(arg.substr(2),
+                           std::string(has_value ? argv[++i] : "1"));
   }
 }
 

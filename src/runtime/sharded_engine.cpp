@@ -413,17 +413,21 @@ void ShardedEngine::round(int s, TimeNs window) {
     const std::size_t prev = (epoch_ + 1) & 1;
     for (auto& peer : shards_) {
       auto& box = peer->outbox[static_cast<std::size_t>(s)][prev];
+      sh.mailbox_msgs += box.size();
       for (Msg& m : box) sh.queue.push_keyed(m.time, m.tie, std::move(m.fn));
       box.clear();
     }
     // peek_min_time for the guard too: evaluating it on an idle shard must
     // not commit the cursor past messages the next drain will deliver. pop()
     // advances the cursor only to events actually executed (< window).
+    bool ran = false;
     while (!sh.queue.empty() && sh.queue.peek_min_time() < window) {
       auto [t, fn] = sh.queue.pop();
       sh.now = t;
       fn();
+      ran = true;
     }
+    if (!ran) ++sh.idle_rounds;
   } catch (...) {
     sh.fatal = std::current_exception();
   }
@@ -551,6 +555,16 @@ RunResult ShardedEngine::run(const RankProgram& program) {
   result.total_time =
       *std::max_element(result.rank_finish.begin(), result.rank_finish.end());
   return result;
+}
+
+ShardedEngine::RoundStats ShardedEngine::round_stats() const {
+  RoundStats stats;
+  stats.rounds = epoch_;
+  for (const auto& sh : shards_) {
+    stats.idle_shard_rounds += sh->idle_rounds;
+    stats.mailbox_msgs += sh->mailbox_msgs;
+  }
+  return stats;
 }
 
 std::uint64_t ShardedEngine::total_scheduled() const {

@@ -90,6 +90,16 @@ class ShardedEngine final : public Engine {
   /// matcher footprint + cumulative pool acquisitions. Identical for any
   /// shards value; exported as the sim.rank_state_bytes counter.
   std::uint64_t rank_state_bytes() const;
+  /// Window statistics, cumulative over this engine's runs. Cheap and always
+  /// on, but they depend on the shard count, so they never reach the
+  /// Recorder/MetricsRegistry (whose output is byte-identical for any shards
+  /// value). All zero on the single-shard fast path, which runs no windows.
+  struct RoundStats {
+    std::uint64_t rounds = 0;             ///< conservative windows executed
+    std::uint64_t idle_shard_rounds = 0;  ///< shard-rounds that ran no event
+    std::uint64_t mailbox_msgs = 0;       ///< cross-shard messages delivered
+  };
+  RoundStats round_stats() const;
   /// Peak resident rank state (live frame high-water + matcher footprint +
   /// pool-cached blocks): the memory-budget figure. NOT byte-stable across
   /// shard counts (per-shard peaks don't sum to the global peak) — never
@@ -123,6 +133,8 @@ class ShardedEngine final : public Engine {
     /// producer and consumer never touch the same vector.
     std::vector<std::array<std::vector<Msg>, 2>> outbox;
     int finished = 0;  ///< rank programs completed on this shard
+    std::uint64_t idle_rounds = 0;   ///< rounds that executed no event
+    std::uint64_t mailbox_msgs = 0;  ///< cross-shard messages drained
     std::vector<std::pair<Rank, std::exception_ptr>> failures;
     std::exception_ptr fatal;
   };
@@ -179,7 +191,7 @@ class ShardedEngine final : public Engine {
   std::vector<TimeNs> progress_busy_until_;  // progress context
   std::vector<TimeNs> tx_free_;              // per-source serial transmit
   std::vector<std::uint64_t> rank_seq_;      // per-producer event sequence
-  std::uint64_t epoch_ = 0;  ///< round counter; selects the mailbox epoch
+  std::uint64_t epoch_ = 0;  ///< rounds run so far; selects the mailbox epoch
 };
 
 }  // namespace adapt::runtime

@@ -34,7 +34,10 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_quote(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out = json_escape(s);
+  out.insert(out.begin(), '"');
+  out.push_back('"');
+  return out;
 }
 
 bool JsonValue::as_bool() const {

@@ -1,5 +1,7 @@
 #include "src/support/shard_pool.hpp"
 
+#include <chrono>
+
 #include "src/support/error.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -18,15 +20,36 @@ inline void cpu_pause() {
 #endif
 }
 
-int default_spin() {
-  // On a single hardware thread, spinning only delays the scheduler from
-  // running the thread we are waiting on.
-  return std::thread::hardware_concurrency() > 1 ? (1 << 12) : 0;
+// Spin budget per wait, in wall time: an iteration count would vary about
+// 10x across CPUs (the cost of `pause` does), a deadline does not.
+constexpr auto kSpinBudget = std::chrono::milliseconds(1);
+constexpr int kPausesPerClockCheck = 32;
+
+// Spinning pays only while every worker owns a hardware thread. On an
+// oversubscribed host (any pool on a single core, or an unknown core count)
+// the spinner burns the quantum the thread it waits on needs, so waiters
+// park at once.
+bool should_spin(int workers) {
+  return static_cast<unsigned>(workers) <= std::thread::hardware_concurrency();
+}
+
+// Spins until ready() holds or the budget runs out; returns ready().
+template <class Ready>
+bool spin_until(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  do {
+    for (int i = 0; i < kPausesPerClockCheck; ++i) {
+      if (ready()) return true;
+      cpu_pause();
+    }
+  } while (std::chrono::steady_clock::now() < deadline);
+  return ready();
 }
 
 }  // namespace
 
-ShardPool::ShardPool(int workers) : workers_(workers), spin_(default_spin()) {
+ShardPool::ShardPool(int workers)
+    : workers_(workers), spin_(should_spin(workers)) {
   ADAPT_CHECK(workers_ >= 1) << "ShardPool needs at least one worker";
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int i = 1; i < workers_; ++i) {
@@ -60,29 +83,22 @@ void ShardPool::run_round(const std::function<void(int)>& fn) {
 
   fn(0);
 
-  for (int i = 0; i < spin_; ++i) {
-    if (remaining_.load(std::memory_order_acquire) == 0) return;
-    cpu_pause();
-  }
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] {
+  const auto done = [this] {
     return remaining_.load(std::memory_order_acquire) == 0;
-  });
+  };
+  if (spin_ && spin_until(done)) return;
+  std::unique_lock<std::mutex> lock(done_mu_);
+  done_cv_.wait(lock, done);
 }
 
 void ShardPool::wait_for_round(std::uint64_t expect) {
-  for (int i = 0; i < spin_; ++i) {
-    if (round_.load(std::memory_order_acquire) >= expect ||
-        stop_.load(std::memory_order_acquire)) {
-      return;
-    }
-    cpu_pause();
-  }
-  std::unique_lock<std::mutex> lock(start_mu_);
-  start_cv_.wait(lock, [this, expect] {
+  const auto released = [this, expect] {
     return round_.load(std::memory_order_acquire) >= expect ||
            stop_.load(std::memory_order_acquire);
-  });
+  };
+  if (spin_ && spin_until(released)) return;
+  std::unique_lock<std::mutex> lock(start_mu_);
+  start_cv_.wait(lock, released);
 }
 
 void ShardPool::worker_loop(int index) {

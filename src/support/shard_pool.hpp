@@ -12,10 +12,14 @@
 // ShardPool keeps workers parked between rounds and releases them with a
 // generation counter: run_round publishes the round's callback, bumps the
 // atomic round number, and runs slice 0 on the calling thread while workers
-// 1..N-1 run theirs. Waiters spin briefly on the atomic (staying in user
-// space when rounds are dense) and then fall back to a condvar — and the
-// spin is skipped entirely on single-core hosts, where burning the quantum
-// would stall the very thread being waited on.
+// 1..N-1 run theirs.
+//
+// Barrier policy: when the pool fits the cores (workers <=
+// hardware_concurrency()), waiters spin on the atomic for up to about 1 ms
+// of wall time — checking the clock every few dozen `pause`s — so dense
+// rounds never leave user space, then fall back to a condvar. When the pool
+// is oversubscribed (or the host has one core) they park on the condvar at
+// once: a spinner would burn the quantum the thread it waits on needs.
 //
 // Memory ordering contract: everything written before run_round() is visible
 // to every worker's callback, and everything workers write in round k is
@@ -54,7 +58,7 @@ class ShardPool {
   void wait_for_round(std::uint64_t expect);
 
   const int workers_;
-  const int spin_;  ///< spin iterations before sleeping; 0 on 1-core hosts
+  const bool spin_;  ///< bounded spin before parking (pool fits the cores)
   std::atomic<std::uint64_t> round_{0};
   std::atomic<int> remaining_{0};
   std::atomic<bool> stop_{false};

@@ -2,21 +2,22 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 namespace adapt {
 
 namespace {
 
-std::string format_scaled(double value, const char* unit) {
+// Formats `value` with two, one or no decimals (below 10, below 100, above)
+// between `sign` and `unit`, all in one snprintf: building the string by
+// concatenation trips GCC 12's -Wrestrict false positive in Release builds.
+std::string format_scaled(double value, const char* unit,
+                          const char* sign = "") {
   std::array<char, 48> buf{};
-  if (value >= 100.0) {
-    std::snprintf(buf.data(), buf.size(), "%.0f%s", value, unit);
-  } else if (value >= 10.0) {
-    std::snprintf(buf.data(), buf.size(), "%.1f%s", value, unit);
-  } else {
-    std::snprintf(buf.data(), buf.size(), "%.2f%s", value, unit);
-  }
+  const int decimals = value >= 100.0 ? 0 : value >= 10.0 ? 1 : 2;
+  std::snprintf(buf.data(), buf.size(), "%s%.*f%s", sign, decimals, value,
+                unit);
   return buf.data();
 }
 
@@ -31,12 +32,24 @@ std::string format_bytes(Bytes b) {
 }
 
 std::string format_time(TimeNs t) {
-  const double v = static_cast<double>(t);
-  if (t < 0) return "-" + format_time(-t);
-  if (t >= seconds(1)) return format_scaled(v / 1e9, "s");
-  if (t >= milliseconds(1)) return format_scaled(v / 1e6, "ms");
-  if (t >= microseconds(1)) return format_scaled(v / 1e3, "us");
-  return std::to_string(t) + "ns";
+  const char* sign = t < 0 ? "-" : "";
+  // The magnitude in unsigned arithmetic: -t overflows for INT64_MIN.
+  const std::uint64_t mag = t < 0 ? 0 - static_cast<std::uint64_t>(t)
+                                  : static_cast<std::uint64_t>(t);
+  const double v = static_cast<double>(mag);
+  if (mag >= static_cast<std::uint64_t>(seconds(1))) {
+    return format_scaled(v / 1e9, "s", sign);
+  }
+  if (mag >= static_cast<std::uint64_t>(milliseconds(1))) {
+    return format_scaled(v / 1e6, "ms", sign);
+  }
+  if (mag >= static_cast<std::uint64_t>(microseconds(1))) {
+    return format_scaled(v / 1e3, "us", sign);
+  }
+  std::array<char, 32> buf{};
+  std::snprintf(buf.data(), buf.size(), "%s%lluns", sign,
+                static_cast<unsigned long long>(mag));
+  return buf.data();
 }
 
 double gbps(Bytes bytes, TimeNs duration) {

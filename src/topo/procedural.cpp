@@ -181,29 +181,19 @@ ShardMap make_shard_map(const ProcTopology& topo, int shards) {
     by_block[static_cast<std::size_t>(b)].push_back(r);
   }
 
-  // Deal whole blocks to shards, closing a shard once it reaches its fair
-  // share of what is left — keeps shard populations within one block of
-  // each other without ever splitting a block.
-  int shard = 0;
-  int assigned = 0;
+  // Interleave rather than hand out contiguous ranges: pipelined chain and
+  // binomial fronts advance through consecutive blocks, and a contiguous
+  // deal would put the whole active front on one shard and serialise the
+  // rounds. min_element picks the lowest index among equals.
   for (const auto& block : by_block) {
     if (block.empty()) continue;
-    auto& members = map.ranks[static_cast<std::size_t>(shard)];
+    const auto least = std::min_element(
+        map.ranks.begin(), map.ranks.end(),
+        [](const auto& a, const auto& b) { return a.size() < b.size(); });
+    const int shard = static_cast<int>(least - map.ranks.begin());
     for (Rank r : block) {
       map.shard_of[static_cast<std::size_t>(r)] = shard;
-      members.push_back(r);
-    }
-    assigned += static_cast<int>(block.size());
-    const int remaining_shards = map.shards - shard - 1;
-    if (remaining_shards > 0) {
-      const int remaining_ranks = nranks - assigned;
-      const int fair = (remaining_ranks + remaining_shards - 1) /
-                       remaining_shards;
-      if (static_cast<int>(members.size()) >= fair ||
-          static_cast<int>(members.size()) >=
-              (nranks + map.shards - 1) / map.shards) {
-        ++shard;
-      }
+      least->push_back(r);
     }
   }
   for (auto& members : map.ranks) std::sort(members.begin(), members.end());

@@ -141,11 +141,13 @@ std::unique_ptr<FatTree> fat_tree(int min_ranks);
 
 }  // namespace presets
 
-/// Assignment of ranks to shards along block boundaries: blocks are dealt to
-/// shards in index order, closing a shard once it holds its fair share of the
-/// remaining ranks. Shard count is clamped to the block count, so no route
-/// interior to a block ever crosses shards and min_cross_block_alpha() is a
-/// valid lookahead for every cross-shard message.
+/// Assignment of ranks to shards along block boundaries: blocks are dealt in
+/// index order, each to the currently least-populated shard (ties to the
+/// lowest index), so equal blocks interleave as b mod shards and populations
+/// stay within one block of each other. A pure function of the block sizes.
+/// Shard count is clamped to the block count, so no route interior to a
+/// block ever crosses shards and min_cross_block_alpha() is a valid
+/// lookahead for every cross-shard message.
 struct ShardMap {
   int shards = 1;
   std::vector<int> shard_of;              ///< rank -> shard

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/support/rng.hpp"
+#include "src/support/shard_pool.hpp"
 #include "src/support/stats.hpp"
 #include "src/support/table.hpp"
 #include "src/support/units.hpp"
@@ -38,12 +43,72 @@ TEST(Units, FormatTime) {
   EXPECT_EQ(format_time(milliseconds(3.5)), "3.50ms");
   EXPECT_EQ(format_time(seconds(2)), "2.00s");
   EXPECT_EQ(format_time(-microseconds(12)), "-12.0us");
+  EXPECT_EQ(format_time(0), "0ns");
+  EXPECT_EQ(format_time(-500), "-500ns");
+  EXPECT_EQ(format_time(milliseconds(250)), "250ms");
+}
+
+TEST(Units, FormatTimeExtremes) {
+  // The magnitude of INT64_MIN does not fit in an int64: it must not be
+  // formed by negation.
+  EXPECT_EQ(format_time(std::numeric_limits<TimeNs>::min()), "-9223372037s");
+  EXPECT_EQ(format_time(std::numeric_limits<TimeNs>::max()), "9223372037s");
 }
 
 TEST(Units, Gbps) {
   // 1 GB moved in 1 s = 8 Gb/s.
   EXPECT_DOUBLE_EQ(gbps(1000000000, seconds(1)), 8.0);
   EXPECT_DOUBLE_EQ(gbps(mib(1), 0), 0.0);
+}
+
+// Runs `rounds` rounds on a pool of `workers` and checks the documented
+// contract: fn(0) runs on the caller, every index runs once per round, what
+// the caller wrote before run_round() is visible to every worker, and what
+// workers wrote is visible to the caller once run_round() returns. The slots
+// are plain ints, so a broken contract is a data race under TSan.
+void expect_round_contract(int workers, int rounds) {
+  support::ShardPool pool(workers);
+  ASSERT_EQ(pool.workers(), workers);
+  const auto n = static_cast<std::size_t>(workers);
+  std::vector<int> input(n, 0);
+  std::vector<int> output(n, 0);
+  std::vector<int> calls(n, 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  bool caller_ran_zero = true;
+  for (int round = 1; round <= rounds; ++round) {
+    for (std::size_t i = 0; i < n; ++i) {
+      input[i] = round * 1000 + static_cast<int>(i);
+    }
+    pool.run_round([&](int index) {
+      const auto i = static_cast<std::size_t>(index);
+      if (index == 0 && std::this_thread::get_id() != caller) {
+        caller_ran_zero = false;
+      }
+      output[i] = input[i] + 1;
+      ++calls[i];
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(output[i], round * 1000 + static_cast<int>(i) + 1)
+          << "round " << round << " worker " << i;
+      ASSERT_EQ(calls[i], round) << "worker " << i;
+    }
+  }
+  EXPECT_TRUE(caller_ran_zero);
+}
+
+TEST(ShardPool, OversubscribedPoolKeepsVisibilityContract) {
+  // More workers than hardware threads: waiters park instead of spinning.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  expect_round_contract(std::max(hw, 1) + 2, 1000);
+}
+
+TEST(ShardPool, PoolThatFitsKeepsVisibilityContract) {
+  // Two workers fit any multicore host: waiters take the bounded spin.
+  expect_round_contract(2, 1000);
+}
+
+TEST(ShardPool, SingleWorkerRunsInline) {
+  expect_round_contract(1, 10);
 }
 
 TEST(Error, CheckThrowsWithContext) {
