@@ -212,6 +212,49 @@ TEST(GpuColl, AdaptBeatsNaiveBaselines) {
   EXPECT_LT(reduce_ms["ompi-adapt-gpu"] * 2, reduce_ms["ompi-default-gpu"]);
 }
 
+/// Per-rank finish times of one per-call ompi-adapt-gpu bcast (which = 0,
+/// §4.1 host-cache staging) or reduce (which = 1, §4.2 stream folds) of
+/// `msg` synthetic bytes from root 0 on 2 psg nodes.
+std::vector<TimeNs> adapt_gpu_finish(int which, Bytes msg) {
+  topo::Machine m = gpu_machine(2);
+  const mpi::Comm world = mpi::Comm::world(m.nranks());
+  auto lib = make_gpu_library("ompi-adapt-gpu", m);
+  runtime::SimEngineOptions options;
+  options.gpu = lib->gpu_config();
+  SimEngine engine(m, options);
+  auto program = [&](Context& ctx) -> sim::Task<> {
+    mpi::MutView buffer{nullptr, msg};
+    if (which == 0) {
+      co_await lib->bcast(ctx, world, buffer, 0);
+    } else {
+      co_await lib->reduce(ctx, world, buffer, mpi::ReduceOp::kSum,
+                           mpi::Datatype::kFloat, 0);
+    }
+  };
+  return engine.run(program).rank_finish;
+}
+
+TEST(GpuColl, AdaptGpuBcastVirtualTimesPinned) {
+  // Exact virtual times of the host-cache staging path: every stage copy,
+  // staged-segment gate and child edge, pinned to the nanosecond.
+  EXPECT_EQ(adapt_gpu_finish(0, mib(4)),
+            (std::vector<TimeNs>{1059680, 437612, 1068583, 1068763, 1188718,
+                                 1188898, 1245445, 1245625}));
+  EXPECT_EQ(adapt_gpu_finish(0, kib(1120)),
+            (std::vector<TimeNs>{345335, 132871, 375386, 375566, 418668,
+                                 418848, 447393, 447573}));
+}
+
+TEST(GpuColl, AdaptGpuReduceVirtualTimesPinned) {
+  // Exact virtual times of the device-stream folds (round-robin streams).
+  EXPECT_EQ(adapt_gpu_finish(1, mib(4)),
+            (std::vector<TimeNs>{1139364, 437432, 950100, 437432, 1120699,
+                                 437432, 889352, 437432}));
+  EXPECT_EQ(adapt_gpu_finish(1, kib(1120)),
+            (std::vector<TimeNs>{440113, 132691, 314135, 132691, 429967,
+                                 132691, 303813, 132691}));
+}
+
 TEST(GpuColl, RejectsCpuOnlyMachine) {
   topo::Machine m(topo::cori(1), 8);
   EXPECT_THROW(make_gpu_library("ompi-adapt-gpu", m), Error);

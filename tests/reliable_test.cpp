@@ -1,13 +1,16 @@
 // Unit tests of the retransmit machinery (mpi::ReliableChannel), driven by a
 // scripted lossy wire on a bare simulator — no engine, no fabric — plus
 // engine-level checks that retry exhaustion surfaces as error codes on BOTH
-// endpoints of a partitioned send/recv.
+// endpoints of a partitioned send/recv, and when a rank death surfaces in a
+// per-call ADAPT collective.
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/coll/coll.hpp"
+#include "src/coll/tree.hpp"
 #include "src/mpi/errors.hpp"
 #include "src/mpi/p2p.hpp"
 #include "src/mpi/reliable.hpp"
@@ -271,6 +274,97 @@ TEST(ReliableEngine, RendezvousPartitionFailsBothRequests) {
 
   EXPECT_EQ(codes[0], ErrCode::kErrRetryExhausted);
   EXPECT_EQ(codes[1], ErrCode::kErrProcFailed);
+}
+
+/// Where and when a per-call collective failure surfaced on each rank: the
+/// FaultError code (kOk when the rank finished cleanly) and ctx.now() at the
+/// catch (or at the clean finish).
+struct FailureSurface {
+  std::vector<ErrCode> codes;
+  std::vector<TimeNs> at;
+};
+
+/// One per-call Style::kAdapt bcast (reduce = false) or reduce of `msg`
+/// bytes in 8 KiB segments over a binary tree of 8 ranks, with the reliable
+/// runtime on and interior rank 1 (children 3 and 4) dying at `kill_at`.
+FailureSurface adapt_failure_surface(bool reduce, TimeNs kill_at,
+                                     Bytes msg = kib(64),
+                                     mpi::ReliabilityConfig reliability = {}) {
+  constexpr int kRanks = 8;
+  constexpr Rank kVictim = 1;
+  const topo::Machine machine(topo::cori(1), kRanks);
+  runtime::SimEngineOptions options;
+  options.reliability = reliability;
+  options.faults.seed = 1;
+  options.faults.deaths.push_back(net::FaultPlan::Death{kVictim, kill_at});
+  runtime::SimEngine engine(machine, options);
+  const mpi::Comm world = mpi::Comm::world(kRanks);
+  const coll::Tree tree = coll::build_tree(coll::TreeKind::kBinary, kRanks, 0);
+  coll::CollOpts opts;
+  opts.segment_size = kib(8);
+
+  FailureSurface out;
+  out.codes.assign(kRanks, ErrCode::kOk);
+  out.at.assign(kRanks, -1);
+  const auto program = [&](runtime::Context& ctx) -> sim::Task<> {
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    std::vector<float> buf(static_cast<std::size_t>(msg) / sizeof(float),
+                           1.0f);
+    const mpi::MutView view{reinterpret_cast<std::byte*>(buf.data()), msg};
+    try {
+      if (reduce) {
+        co_await coll::reduce(ctx, world, view, mpi::ReduceOp::kSum,
+                              mpi::Datatype::kFloat, 0, tree,
+                              coll::Style::kAdapt, opts);
+      } else {
+        co_await coll::bcast(ctx, world, view, 0, tree, coll::Style::kAdapt,
+                             opts);
+      }
+    } catch (const mpi::FaultError& e) {
+      out.codes[me] = e.code();
+    }
+    out.at[me] = ctx.now();
+  };
+  engine.run(program);
+  return out;
+}
+
+/// A rank dies mid-collective: the first failed request wakes each live
+/// rank's per-call ADAPT collective at once (it does not wait for the rest
+/// of its requests to drain), so the error code and the virtual time at the
+/// catch are pinned exactly.
+TEST(ReliableEngine, PerCallAdaptFailureSurfacesAtFirstFailedRequest) {
+  constexpr ErrCode kOk = ErrCode::kOk;
+  constexpr ErrCode kGaveUp = ErrCode::kErrRetryExhausted;
+  constexpr ErrCode kFailed = ErrCode::kErrProcFailed;
+  // Bcast, victim killed at 4us: its parent (0) and the victim itself give
+  // up on their sends, its subtree (3, 4, 7) learns through the abort flood;
+  // 2, 5 and 6 finished before the failure.
+  const FailureSurface bcast = adapt_failure_surface(false, microseconds(4));
+  EXPECT_EQ(bcast.codes, (std::vector<ErrCode>{kGaveUp, kGaveUp, kOk, kFailed,
+                                               kFailed, kOk, kOk, kFailed}));
+  EXPECT_EQ(bcast.at,
+            (std::vector<TimeNs>{59474872, 59475746, 10266, 59475172,
+                                 59475172, 10116, 10116, 59475172}));
+  // Reduce, victim killed at 20us: 3 gives up sending up to it, the root
+  // learns through the flood; the victim's own sends give up too.
+  const FailureSurface reduce = adapt_failure_surface(true, microseconds(20));
+  EXPECT_EQ(reduce.codes, (std::vector<ErrCode>{kFailed, kGaveUp, kOk, kGaveUp,
+                                                kOk, kOk, kOk, kOk}));
+  EXPECT_EQ(reduce.at,
+            (std::vector<TimeNs>{59492450, 59492815, 49871, 59492150, 8792,
+                                 8792, 8792, 8792}));
+  // Reduce of 1 MiB with a 150us retry budget: the failure surfaces while
+  // ranks 2 and 3 still have segment folds running on their progress
+  // contexts. They are woken at the failure, not when those folds retire.
+  const FailureSurface busy = adapt_failure_surface(
+      true, microseconds(20), mib(1),
+      mpi::ReliabilityConfig{.ack_timeout = microseconds(10), .max_retries = 3});
+  EXPECT_EQ(busy.codes, (std::vector<ErrCode>{kFailed, kGaveUp, kFailed,
+                                              kFailed, kGaveUp, kOk, kOk,
+                                              kOk}));
+  EXPECT_EQ(busy.at, (std::vector<TimeNs>{415092, 416351, 415092, 415197,
+                                          414792, 131672, 131672, 131672}));
 }
 
 }  // namespace
