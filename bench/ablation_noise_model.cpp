@@ -17,7 +17,9 @@
 
 int main(int argc, char** argv) {
   using namespace adapt;
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(argc, argv,
+                 {{"ranks", "N: ranks on the cori model (default 256)"},
+                  {"iters", "N: timed iterations per point (default 40)"}});
   const int ranks = static_cast<int>(cli.get_int("ranks", 256));
   const int iters = static_cast<int>(cli.get_int("iters", 40));
   const Bytes msg = mib(4);

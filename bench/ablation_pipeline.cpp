@@ -40,7 +40,10 @@ double run_adapt(const topo::Machine& machine, const mpi::Comm& world,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(argc, argv,
+                 {{"ranks", "N: ranks on the cori model (default 256)"},
+                  {"msg", "BYTES: broadcast size (default 4 MiB)"},
+                  {"iters", "N: timed iterations per point (default 2)"}});
   const int ranks = static_cast<int>(cli.get_int("ranks", 256));
   const Bytes msg = cli.get_int("msg", mib(4));
   const int iters = static_cast<int>(cli.get_int("iters", 2));

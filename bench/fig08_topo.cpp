@@ -69,7 +69,13 @@ void run_cluster(const std::string& cluster, int nodes, int ranks, int iters,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"cluster", "cori|stampede2|both (default both)"},
+       {"iters", "N: timed iterations per point (default 2)"},
+       {"nodes", "N: nodes per cluster (default 32)"},
+       {"ranks", "N: ranks (default 1024 on cori, 1536 on stampede2)"},
+       {"json", "[FILE]: also write the tables as JSON (stdout if bare)"}});
   const std::string which = cli.get("cluster", "both");
   const int iters = static_cast<int>(cli.get_int("iters", 2));
   std::cout << "== Figure 8: topology-aware broadcast/reduce vs message size "

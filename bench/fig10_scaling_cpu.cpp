@@ -38,7 +38,15 @@
 
 int main(int argc, char** argv) {
   using namespace adapt;
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"iters", "N: timed iterations per point (default 3)"},
+       {"msg", "BYTES: message size (default 4 MiB)"},
+       {"jobs", "N: worker threads for the sweep, 0 = all cores (default 1)"},
+       {"json", "[FILE]: also write the tables as JSON (stdout if bare)"},
+       {"trace", "[FILE]: write one point's trace (default fig10.trace.json)"},
+       {"trace-lib", "NAME: library of the traced point (default ompi-adapt)"},
+       {"trace-ranks", "N: rank count of the traced point (default 128)"}});
   const int iters = static_cast<int>(cli.get_int("iters", 3));
   const Bytes msg = cli.get_int("msg", mib(4));
   int jobs = static_cast<int>(cli.get_int("jobs", 1));

@@ -44,7 +44,11 @@ double run_one(int nodes, const std::string& lib_name, bool is_bcast,
 
 int main(int argc, char** argv) {
   using namespace adapt;
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"iters", "N: timed iterations per point (default 3)"},
+       {"nodes", "N: largest node count, 4 GPUs each (default 8)"},
+       {"json", "[FILE]: also write the tables as JSON (stdout if bare)"}});
   const int iters = static_cast<int>(cli.get_int("iters", 3));
   const int max_nodes = static_cast<int>(cli.get_int("nodes", 8));
   bench::JsonReport report("fig11_gpu");

@@ -73,7 +73,13 @@ std::string format_fixed(double v) {
 
 int main(int argc, char** argv) {
   using namespace adapt;
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"ranks", "N: ranks on the cori model (default 4096)"},
+       {"msg", "BYTES: broadcast size (default 1 MiB)"},
+       {"seg", "BYTES: pipeline segment size (default 64 KiB)"},
+       {"iters", "N: measured iterations per shard count (default 3)"},
+       {"json", "[FILE]: also write the results as JSON (stdout if bare)"}});
   const int ranks = static_cast<int>(cli.get_int("ranks", 4096));
   const Bytes msg = cli.get_int("msg", mib(1));
   const Bytes seg = cli.get_int("seg", kib(64));

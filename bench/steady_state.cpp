@@ -230,7 +230,16 @@ void write_json(const std::string& path, const BenchConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"cluster", "NAME: machine preset (default cori)"},
+       {"nodes", "N: nodes (default 2)"},
+       {"ranks", "N: ranks (default 64)"},
+       {"bytes", "B: broadcast size (default 65536)"},
+       {"warm", "W: unmeasured warm-up rounds per arm (default 80)"},
+       {"rounds", "R: measured rounds per arm (default 300)"},
+       {"arm", "percall|persistent|both (default both)"},
+       {"json", "[FILE]: also write the results as JSON (steady.json)"}});
   const std::string cluster = cli.get("cluster", "cori");
   const int nodes = static_cast<int>(cli.get_int("nodes", 2));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));

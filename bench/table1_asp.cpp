@@ -24,7 +24,12 @@
 
 int main(int argc, char** argv) {
   using namespace adapt;
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"ranks", "N: ranks on the cori model (default 1024)"},
+       {"iters", "N: sampled outer iterations (default 128)"},
+       {"rowbytes", "BYTES: broadcast row size (default 1 MiB)"},
+       {"json", "[FILE]: also write the tables as JSON (stdout if bare)"}});
   const int ranks = static_cast<int>(cli.get_int("ranks", 1024));
   const int iters = static_cast<int>(cli.get_int("iters", 128));
   const Bytes row_bytes = cli.get_int("rowbytes", mib(1));

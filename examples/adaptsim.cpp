@@ -244,7 +244,29 @@ int run_recover_demo(const bench::Cli& cli, const topo::Machine& machine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Cli cli(argc, argv);
+  bench::Cli cli(
+      argc, argv,
+      {{"cluster", "NAME: machine preset (default cori)"},
+       {"spec", "SPEC: custom machine spec instead of a preset"},
+       {"machine", "SPEC: alias for --spec"},
+       {"nodes", "N: nodes of the preset (default 8)"},
+       {"ranks", "N: ranks (default: the preset's full machine)"},
+       {"lib", "NAME: MPI library personality (default ompi-adapt)"},
+       {"op", "bcast|reduce (default bcast)"},
+       {"min", "BYTES: smallest message size (default 64 KiB)"},
+       {"max", "BYTES: largest message size (default 4 MiB)"},
+       {"noise", "PERCENT: noise duty cycle (default 0)"},
+       {"iters", "N: timed iterations per size (default 4)"},
+       {"persistent", "measure init/start/wait persistent collectives"},
+       {"shards", "N: run on the sharded engine with N shards"},
+       {"tuning", "let tunable personalities use the decision engine"},
+       {"dump-table", "[FILE]: write the decision table as JSON"},
+       {"trace", "[FILE]: write a Perfetto trace of the last size"},
+       {"metrics", "[FILE]: write the metrics registry as CSV"},
+       {"recover", "run the self-healing demo instead of the sweep"},
+       {"kill", "RANK: --recover victim (default 1)"},
+       {"kill-at", "MICROS: --recover death time (default 5)"},
+       {"json", "[FILE]: --recover outcome as JSON"}});
   const std::string lib_name = cli.get("lib", "ompi-adapt");
   const std::string op = cli.get("op", "bcast");
   const int nodes = static_cast<int>(cli.get_int("nodes", 8));

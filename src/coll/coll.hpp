@@ -6,6 +6,9 @@
 //                   (Open MPI "tuned"-style);
 //   kAdapt        — Algorithm 3: event-driven callbacks, no Waitall; N
 //                   outstanding sends per child, M posted receives (Fig. 4).
+//                   bcast/reduce run it as a one-shot coll::PersistentOp —
+//                   the only ADAPT machine (persistent.hpp) — which wakes the
+//                   caller at the first failed request.
 //
 // All styles are tree-agnostic: pass any Tree (including the topology-aware
 // one). All ranks of the communicator must call the collective with

@@ -15,6 +15,7 @@ Edges resolve(const runtime::Context& ctx, const mpi::Comm& comm,
   e.is_root = e.me_local == tree.root;
   const Rank p = tree.up(e.me_local);
   e.parent_global = p == -1 ? -1 : comm.global(p);
+  e.kids_global.reserve(tree.kids(e.me_local).size());
   for (Rank c : tree.kids(e.me_local)) e.kids_global.push_back(comm.global(c));
   return e;
 }

@@ -1,10 +1,12 @@
-// Persistent-collective machines: ADAPT's event-driven pipelines, replayed
-// from a cached plan with zero steady-state allocation (see persistent.hpp).
+// ADAPT's event-driven pipelines: replayed from a cached plan with zero
+// steady-state allocation by persistent handles, and run once per call by
+// Style::kAdapt bcast/reduce (see persistent.hpp).
 #include "src/coll/persistent.hpp"
 
 #include <algorithm>
 
 #include "src/coll/detail.hpp"
+#include "src/gpu/device.hpp"
 #include "src/support/buffer_pool.hpp"
 #include "src/support/error.hpp"
 #include "src/tune/tuner.hpp"
@@ -63,9 +65,10 @@ tune::PlanOp plan_op_of(PersistentOp::Kind kind) {
 
 // ------------------------------------------------------------------- init ---
 
-void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
-                               Kind kind, Bytes bytes, Rank root,
-                               const PersistentOpts& opts) {
+void PersistentOp::init_persistent(Bytes bytes, Rank root,
+                                   const PersistentOpts& opts) {
+  runtime::Context& ctx = *ctx_;
+  const mpi::Comm& comm = comm_;
   ADAPT_CHECK(comm.contains(ctx.rank()))
       << "rank " << ctx.rank() << " not a member of the communicator";
   ADAPT_CHECK(opts.partitions >= 0);
@@ -73,19 +76,16 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
       << "persistent collectives are CPU-path only";
   ADAPT_CHECK(opts.coll.outstanding_sends >= 1);
   ADAPT_CHECK(opts.coll.outstanding_recvs >= 1);
-  ctx_ = &ctx;
-  comm_ = comm;
-  kind_ = kind;
   opts_ = opts.coll;
   partitions_ = opts.partitions;
 
   // -- plan: cache lookup, tuner pin, or explicit tree --------------------
-  const bool has_tree = kind != Kind::kBarrier;
+  const bool has_tree = kind_ != Kind::kBarrier;
   if (has_tree) {
     ADAPT_CHECK(root >= 0 && root < comm.size());
   }
   tune::PlanCache* cache = ctx.plan_cache();
-  const tune::PlanKey key{plan_op_of(kind), comm.fingerprint(),
+  const tune::PlanKey key{plan_op_of(kind_), comm.fingerprint(),
                           tune::Tuner::bucket(bytes), root};
   if (opts.tree != nullptr) {
     // Caller-supplied tree: build a private (uncached) plan around it.
@@ -116,8 +116,8 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
         // Pin the decision now: choose() also records it in the engine's
         // DecisionTable, so the table doubles as the persistent plan cache's
         // pricing layer.
-        const tune::Op top = kind == Kind::kBcast ? tune::Op::kBcast
-                                                  : tune::Op::kReduce;
+        const tune::Op top = kind_ == Kind::kBcast ? tune::Op::kBcast
+                                                   : tune::Op::kReduce;
         tune::Tuner::ChooseStats tstats;
         const tune::Decision d = tuner->choose(top, comm.size(), bytes,
                                                &tstats);
@@ -148,25 +148,17 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
 
   // -- resolve this rank's edges ------------------------------------------
   if (has_tree) {
-    const Rank me = comm.local_of(ctx.rank());
-    const Tree& tree = plan_->tree;
-    ADAPT_CHECK(tree.size() == comm.size());
-    edges_.me_local = me;
-    edges_.is_root = me == tree.root;
-    edges_.parent_global =
-        edges_.is_root ? -1 : comm.global(tree.up(me));
-    edges_.kids_global.clear();
-    edges_.kids_global.reserve(tree.kids(me).size());
-    for (const Rank kid : tree.kids(me))
-      edges_.kids_global.push_back(comm.global(kid));
+    edges_ = detail::resolve(ctx, comm, plan_->tree);
+  } else {
+    edges_.me_local = comm.local_of(ctx.rank());
   }
 
   segs_ = Segmenter(bytes, opts_.segment_size);
   const int S = segs_.count();
-  bar_rounds_ = kind == Kind::kBarrier ? ceil_log2(comm.size()) : 0;
+  bar_rounds_ = kind_ == Kind::kBarrier ? ceil_log2(comm.size()) : 0;
 
   // -- tag blocks ----------------------------------------------------------
-  switch (kind) {
+  switch (kind_) {
     case Kind::kBcast:
     case Kind::kReduce: per_round_tags_ = S; break;
     case Kind::kAllreduce: per_round_tags_ = 2 * S; break;
@@ -174,33 +166,7 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
   }
   base_tag_ = ctx.alloc_tags(static_cast<Tag>(per_round_tags_) * kTagRounds);
 
-  // -- pre-size every piece of round state ---------------------------------
-  const std::size_t nkids = edges_.kids_global.size();
-  part_ready_.assign(static_cast<std::size_t>(partitions_), 0);
-  local_ready_.assign(static_cast<std::size_t>(S), 1);
-  received_.assign(static_cast<std::size_t>(S), 0);
-  next_send_.assign(nkids, 0);
-  inflight_.assign(nkids, 0);
-  if (kind == Kind::kReduce || kind == Kind::kAllreduce) {
-    contributed_.assign(static_cast<std::size_t>(S), 0);
-    next_recv_.assign(nkids, 0);
-    ready_q_.assign(static_cast<std::size_t>(S), 0);
-    pending_folds_.resize(static_cast<std::size_t>(S));
-    for (auto& q : pending_folds_) {
-      q.clear();
-      q.reserve(nkids);
-    }
-    // Persistent handles own their fold scratch for life — no per-round
-    // Payload churn at all.
-    const std::size_t windows =
-        nkids * static_cast<std::size_t>(opts_.outstanding_recvs);
-    scratch_.clear();
-    scratch_.reserve(windows);
-    for (std::size_t i = 0; i < windows; ++i) {
-      scratch_.push_back(mpi::Payload::scratch(ctx.pool(), opts_.segment_size,
-                                               buffer_.synthetic()));
-    }
-  }
+  size_state();
 
   // -- warm the engine pool for the round's eager footprint ----------------
   // In-flight eager copies: N per child edge plus N up plus M unexpected
@@ -209,18 +175,120 @@ void PersistentOp::init_common(runtime::Context& ctx, const mpi::Comm& comm,
   if (support::BufferPool* pool = ctx.pool();
       pool != nullptr && !buffer_.synthetic() && bytes > 0) {
     const int in_flight =
-        static_cast<int>(nkids + 1) * opts_.outstanding_sends +
+        static_cast<int>(edges_.kids_global.size() + 1) *
+            opts_.outstanding_sends +
         opts_.outstanding_recvs;
     pool->reserve(std::min(opts_.segment_size, std::max<Bytes>(bytes, 1)),
                   in_flight);
   }
 }
 
+void PersistentOp::size_state() {
+  const auto S = static_cast<std::size_t>(segs_.count());
+  const std::size_t nkids = edges_.kids_global.size();
+  const auto P = static_cast<std::size_t>(partitions_);
+  part_ready_.assign(P, 0);
+  if (P > 0) local_ready_.assign(S, 0);
+  if (kind_ == Kind::kBcast || kind_ == Kind::kAllreduce) {
+    received_.assign(S, 0);
+    next_send_.assign(nkids, 0);
+    inflight_.assign(nkids, 0);
+  }
+  if (kind_ == Kind::kReduce || kind_ == Kind::kAllreduce) {
+    contributed_.assign(S, 0);
+    next_recv_.assign(nkids, 0);
+    ready_q_.assign(S, 0);
+    if (P > 0) {
+      // Only partitioned rounds park folds (child data beating pready).
+      pending_folds_.resize(S);
+      for (auto& q : pending_folds_) q.reserve(nkids);
+    }
+    // The op owns its fold scratch for life — no per-round Payload churn.
+    const std::size_t windows =
+        nkids * static_cast<std::size_t>(opts_.outstanding_recvs);
+    scratch_.reserve(windows);
+    for (std::size_t i = 0; i < windows; ++i) {
+      scratch_.push_back(mpi::Payload::scratch(
+          ctx_->pool(), opts_.segment_size, buffer_.synthetic()));
+    }
+    ADAPT_CHECK(!opts_.gpu_reduce || nkids == 0 || ctx_->gpu() != nullptr)
+        << "gpu_reduce on a rank without a GPU";
+  }
+
+  // §4.1 host cache: a non-root rank whose parent edge lands in HOST memory
+  // keeps the cache as its primary space and flushes each segment down to
+  // its GPU; the root's data starts on the GPU, so it pulls each segment UP
+  // into the cache. Child edges sourcing the staged space gate on the copy.
+  if (kind_ == Kind::kBcast && opts_.gpu_host_cache) {
+    const Rank me = ctx_->rank();
+    stage_dst_ = edges_.is_root ? MemSpace::kHost : MemSpace::kDevice;
+    flushes_ = edges_.is_root ||
+               opts_.spaces(edges_.parent_global, me).dst_space ==
+                   MemSpace::kHost;
+    if (flushes_) {
+      ADAPT_CHECK(ctx_->gpu() != nullptr) << "gpu_host_cache on a non-GPU rank";
+      alt_ready_.assign(S, 0);
+      child_needs_alt_.assign(nkids, 0);
+      for (std::size_t c = 0; c < nkids; ++c) {
+        child_needs_alt_[c] =
+            opts_.spaces(me, edges_.kids_global[c]).src_space == stage_dst_;
+      }
+    }
+  }
+}
+
+std::unique_ptr<PersistentOp> PersistentOp::launch_one_shot(
+    runtime::Context& ctx, const mpi::Comm& comm, Kind kind,
+    detail::Edges edges, mpi::MutView buffer, mpi::ReduceOp rop,
+    mpi::Datatype dtype, const CollOpts& opts, Tag base_tag) {
+  ADAPT_CHECK(kind == Kind::kBcast || kind == Kind::kReduce);
+  ADAPT_CHECK(opts.outstanding_sends >= 1);
+  ADAPT_CHECK(opts.outstanding_recvs >= 1);
+  std::unique_ptr<PersistentOp> op(
+      new PersistentOp(ctx, comm, kind, buffer, rop, dtype));
+  op->one_shot_ = true;
+  op->opts_ = opts;
+  op->edges_ = std::move(edges);
+  op->segs_ = Segmenter(buffer.size, opts.segment_size);
+  op->base_tag_ = base_tag;  // a single round: block 0 of the tag space
+  op->size_state();
+  op->launch();
+  return op;
+}
+
+sim::Task<> PersistentOp::one_shot(runtime::Context& ctx,
+                                   const mpi::Comm& comm, Kind kind,
+                                   detail::Edges edges, mpi::MutView buffer,
+                                   mpi::ReduceOp rop, mpi::Datatype dtype,
+                                   const CollOpts& opts, Tag base_tag) {
+  std::unique_ptr<PersistentOp> op =
+      launch_one_shot(ctx, comm, kind, std::move(edges), buffer, rop, dtype,
+                      opts, base_tag);
+  co_await op->wait();
+  // The callback chain ran entirely in the progress context; completing the
+  // collective is observed by the application thread.
+  co_await ctx.compute(0);
+  const mpi::ErrCode error = op->error_;
+  if (op->in_flight_) {
+    // Woke at the first failure with callbacks still posted: they capture
+    // the op, so the Context keeps it until the last one retires (or the
+    // engine tears down with requests still posted).
+    op->parked_ = true;
+    ctx.park(std::move(op));
+  }
+  if (error != mpi::ErrCode::kOk) {
+    throw mpi::FaultError(
+        error, std::string("adapt ") + kind_name(kind) + " failed");
+  }
+}
+
 PersistentOp::~PersistentOp() {
   // Destroying a handle mid-round would leave callbacks pointing at freed
   // state; wait() first (its drain guarantee is what makes `this` captures
-  // safe).
-  ADAPT_CHECK(!in_flight_) << "PersistentOp destroyed with a round in flight";
+  // safe). A parked one-shot op dies mid-round only with its Context, when
+  // no callback can run any more.
+  ADAPT_CHECK(!in_flight_ || parked_)
+      << "PersistentOp destroyed with a round in flight";
 }
 
 // -------------------------------------------------------------- lifecycle ---
@@ -244,12 +312,17 @@ mpi::ErrCode PersistentOp::start() {
     return comm_.state()->freed ? mpi::ErrCode::kErrCommFreed
                                 : mpi::ErrCode::kErrRevoked;
   }
-  reset_round();
-  in_flight_ = true;
   if (obs::Recorder* rec = ctx_->recorder()) {
     rec->instant(obs::rank_pid(ctx_->rank()), obs::kTidProgress,
                  obs::Cat::kTask, "pstart", rec->now(), rounds_completed_);
   }
+  launch();
+  return mpi::ErrCode::kOk;
+}
+
+void PersistentOp::launch() {
+  reset_round();
+  in_flight_ = true;
   switch (kind_) {
     case Kind::kBcast:
       start_bcast();
@@ -266,7 +339,6 @@ mpi::ErrCode PersistentOp::start() {
       break;
   }
   check_round_done();  // trivial rounds (1-rank comms) finish synchronously
-  return mpi::ErrCode::kOk;
 }
 
 void PersistentOp::reset_round() {
@@ -277,8 +349,8 @@ void PersistentOp::reset_round() {
   inflight_up_ = 0;
   ready_head_ = ready_tail_ = 0;
   std::fill(part_ready_.begin(), part_ready_.end(), char{0});
-  std::fill(local_ready_.begin(), local_ready_.end(),
-            partitions_ > 0 ? char{0} : char{1});
+  std::fill(local_ready_.begin(), local_ready_.end(), char{0});
+  std::fill(alt_ready_.begin(), alt_ready_.end(), char{0});
   std::fill(next_send_.begin(), next_send_.end(), 0);
   std::fill(inflight_.begin(), inflight_.end(), 0);
   std::fill(contributed_.begin(), contributed_.end(), 0);
@@ -322,8 +394,7 @@ mpi::ErrCode PersistentOp::pready(int p) {
         } else {
           // Replay folds that arrived before the local data was ready.
           auto& q = pending_folds_[static_cast<std::size_t>(s)];
-          for (const std::uint64_t packed : q)
-            schedule_fold(unpack_c(packed), s, unpack_w(packed));
+          for (const std::uint64_t packed : q) schedule_fold(packed);
           q.clear();
         }
       }
@@ -373,7 +444,7 @@ mpi::ErrCode PersistentOp::parrived(int p, bool* flag) const {
 }
 
 void PersistentOp::Awaiter::await_resume() const {
-  if (op->error_ != mpi::ErrCode::kOk) {
+  if (op->error_ != mpi::ErrCode::kOk && !op->one_shot_) {
     throw mpi::FaultError(op->error_, std::string("persistent ") +
                                           kind_name(op->kind_) + " failed");
   }
@@ -391,27 +462,54 @@ void PersistentOp::cb_exit() {
 
 void PersistentOp::check_round_done() {
   if (!in_flight_) return;
-  if (outstanding_ != 0) return;
-  if (error_ == mpi::ErrCode::kOk && remaining_ != 0) return;
-  // Success, or a failed round whose every posted callback has retired —
-  // either way nothing references this handle any more.
-  in_flight_ = false;
-  ++rounds_completed_;
-  if (obs::Recorder* rec = ctx_->recorder()) {
-    rec->instant(obs::rank_pid(ctx_->rank()), obs::kTidProgress,
-                 obs::Cat::kTask, "pdone", rec->now(),
-                 static_cast<std::int64_t>(error_));
+  const bool failed = error_ != mpi::ErrCode::kOk;
+  const bool drained = outstanding_ == 0 && (failed || remaining_ == 0);
+  if (drained) {
+    // Success, or a failed round whose every posted callback has retired —
+    // either way nothing references this handle any more.
+    in_flight_ = false;
+    ++rounds_completed_;
+    if (parked_) {
+      ctx_->unpark(this);  // destroys *this
+      return;
+    }
+    if (obs::Recorder* rec = ctx_->recorder(); rec && !one_shot_) {
+      rec->instant(obs::rank_pid(ctx_->rank()), obs::kTidProgress,
+                   obs::Cat::kTask, "pdone", rec->now(),
+                   static_cast<std::int64_t>(error_));
+    }
   }
-  if (waiter_) {
-    const std::coroutine_handle<> h = waiter_;
-    waiter_ = nullptr;
-    // Resume on the application thread, like the per-call collectives'
-    // trailing compute(0) — the round itself ran on the progress context.
-    ctx_->defer(0, [h] { h.resume(); });
+  if (!waiter_ || !(drained || (one_shot_ && failed))) return;
+  const std::coroutine_handle<> h = waiter_;
+  waiter_ = nullptr;
+  if (one_shot_) {
+    // Per-call semantics: resume inline, at completion or at the first
+    // failure. The caller may free or park the op: last use of `this`.
+    h.resume();
+    return;
   }
+  // Resume on the application thread, like the one-shot's trailing
+  // compute(0) — the round itself ran on the progress context.
+  ctx_->defer(0, [h] { h.resume(); });
 }
 
 // ---------------------------------------------------------------- helpers ---
+
+// The one completion-callback shape of every posted request: a failure
+// records the first cause, a success runs OnOk(packed), and either way the
+// callback retires. {this, packed} keeps std::function in inline storage.
+template <void (PersistentOp::*OnOk)(std::uint64_t)>
+void PersistentOp::arm(mpi::Request& req, std::uint64_t packed) {
+  ++outstanding_;
+  req.set_completion_cb([this, packed](mpi::Request& r) {
+    if (r.failed()) {
+      fail(r.error());
+    } else {
+      (this->*OnOk)(packed);
+    }
+    cb_exit();
+  });
+}
 
 Tag PersistentOp::round_tag(int block_offset, int s) const {
   const int block = rounds_completed_ % kTagRounds;
@@ -443,11 +541,15 @@ void PersistentOp::start_bcast() {
   const int S = segs_.count();
   const int bcast_recv = edges_.is_root ? 0 : S;
   const int bcast_send = static_cast<int>(edges_.kids_global.size()) * S;
-  remaining_ += bcast_recv + bcast_send;
+  const int bcast_stage = flushes_ ? S : 0;
+  remaining_ += bcast_recv + bcast_send + bcast_stage;
   if (!edges_.is_root) {
     const int prepost = std::min(S, opts_.outstanding_recvs);
     for (int i = 0; i < prepost; ++i) post_next_bcast_recv();
   } else {
+    if (flushes_) {
+      for (int s = 0; s < S; ++s) stage(s);
+    }
     for (std::size_t c = 0; c < edges_.kids_global.size(); ++c)
       pump_child(c);
   }
@@ -458,56 +560,70 @@ void PersistentOp::post_next_bcast_recv() {
   if (next_recv_post_ >= segs_.count()) return;
   const int s = next_recv_post_++;
   const int block_offset = kind_ == Kind::kAllreduce ? segs_.count() : 0;
-  ++outstanding_;
-  auto req = ctx_->irecv(edges_.parent_global, round_tag(block_offset, s),
-                         piece(s));
-  req->set_completion_cb(
-      [this, packed = pack3(0, s, 0)](mpi::Request& r) {
-        if (r.failed()) {
-          fail(r.error());
-        } else {
-          on_bcast_recv(unpack_s(packed));
-        }
-        cb_exit();
-      });
+  arm<&PersistentOp::on_bcast_recv>(
+      *ctx_->irecv(edges_.parent_global, round_tag(block_offset, s), piece(s)),
+      pack3(0, s, 0));
 }
 
-void PersistentOp::on_bcast_recv(int s) {
+void PersistentOp::on_bcast_recv(std::uint64_t packed) {
   if (error_ != mpi::ErrCode::kOk) return;
+  const int s = unpack_s(packed);
   detail::segment_event(*ctx_, "seg_recv", s);
   received_[static_cast<std::size_t>(s)] = 1;
   --remaining_;
   post_next_bcast_recv();
+  if (flushes_) stage(s);
   for (std::size_t c = 0; c < edges_.kids_global.size(); ++c) pump_child(c);
+}
+
+// Explicit CPU buffer (§4.1): stage segment s into the other memory space
+// with an async stream copy, overlapped with everything else.
+void PersistentOp::stage(int s) {
+  gpu::Device* dev = ctx_->gpu();
+  const MemSpace src = stage_dst_ == MemSpace::kDevice ? MemSpace::kHost
+                                                       : MemSpace::kDevice;
+  ++outstanding_;
+  auto staged = [this, packed = pack3(0, s, 0)] {
+    if (error_ == mpi::ErrCode::kOk) {
+      alt_ready_[static_cast<std::size_t>(unpack_s(packed))] = 1;
+      --remaining_;
+      for (std::size_t c = 0; c < child_needs_alt_.size(); ++c) {
+        if (child_needs_alt_[c]) pump_child(c);
+      }
+    }
+    cb_exit();
+  };
+  dev->stream(s % dev->num_streams())
+      .memcpy_async(stage_dst_, src, segs_.length(s), staged);
+}
+
+bool PersistentOp::sendable(std::size_t c, int s) const {
+  const auto si = static_cast<std::size_t>(s);
+  if (flushes_ && child_needs_alt_[c]) return alt_ready_[si] != 0;
+  return received_[si] != 0;
 }
 
 void PersistentOp::pump_child(std::size_t c) {
   const int block_offset = kind_ == Kind::kAllreduce ? segs_.count() : 0;
   while (error_ == mpi::ErrCode::kOk &&
          inflight_[c] < opts_.outstanding_sends &&
-         next_send_[c] < segs_.count() &&
-         received_[static_cast<std::size_t>(next_send_[c])] != 0) {
+         next_send_[c] < segs_.count() && sendable(c, next_send_[c])) {
     const int s = next_send_[c]++;
     ++inflight_[c];
-    ++outstanding_;
     detail::segment_event(*ctx_, "seg_send", s);
-    auto req = ctx_->isend(
-        edges_.kids_global[c], round_tag(block_offset, s),
-        piece(s).as_const(),
-        opts_.spaces(ctx_->rank(), edges_.kids_global[c]));
-    req->set_completion_cb(
-        [this, packed = pack3(c, 0, 0)](mpi::Request& r) {
-          if (r.failed()) {
-            fail(r.error());
-          } else {
-            const std::size_t child = unpack_c(packed);
-            --inflight_[child];
-            --remaining_;
-            pump_child(child);
-          }
-          cb_exit();
-        });
+    const Rank kid = edges_.kids_global[c];
+    arm<&PersistentOp::on_child_sent>(
+        *ctx_->isend(kid, round_tag(block_offset, s), piece(s).as_const(),
+                     opts_.spaces(ctx_->rank(), kid)),
+        pack3(c, 0, 0));
   }
+}
+
+void PersistentOp::on_child_sent(std::uint64_t packed) {
+  const std::size_t c = unpack_c(packed);
+  --inflight_[c];
+  --remaining_;
+  pump_child(c);
 }
 
 // ---------------------------------------------------------------- reduce ----
@@ -533,44 +649,43 @@ void PersistentOp::post_reduce_recv(std::size_t c, int window) {
   if (error_ != mpi::ErrCode::kOk) return;
   if (next_recv_[c] >= segs_.count()) return;
   const int s = next_recv_[c]++;
-  ++outstanding_;
-  auto req = ctx_->irecv(edges_.kids_global[c], round_tag(0, s),
-                         scratch_view(c, window, segs_.length(s)));
-  req->set_completion_cb(
-      [this, packed = pack3(c, s, window)](mpi::Request& r) {
-        if (r.failed()) {
-          fail(r.error());
-        } else {
-          on_reduce_recv(unpack_c(packed), unpack_s(packed),
-                         unpack_w(packed));
-        }
-        cb_exit();
-      });
+  arm<&PersistentOp::on_reduce_recv>(
+      *ctx_->irecv(edges_.kids_global[c], round_tag(0, s),
+                   scratch_view(c, window, segs_.length(s))),
+      pack3(c, s, window));
 }
 
-void PersistentOp::on_reduce_recv(std::size_t c, int s, int window) {
+void PersistentOp::on_reduce_recv(std::uint64_t packed) {
   if (error_ != mpi::ErrCode::kOk) return;
-  detail::segment_event(*ctx_, "seg_recv", s);
-  schedule_fold(c, s, window);
+  detail::segment_event(*ctx_, "seg_recv", unpack_s(packed));
+  schedule_fold(packed);
 }
 
-void PersistentOp::schedule_fold(std::size_t c, int s, int window) {
+void PersistentOp::schedule_fold(std::uint64_t packed) {
   ++outstanding_;
-  ctx_->defer_progress(
-      detail::reduce_cost(*ctx_, opts_, segs_.length(s)),
-      [this, packed = pack3(c, s, window)] {
-        run_fold(unpack_c(packed), unpack_s(packed), unpack_w(packed));
-        cb_exit();
-      });
+  auto fold = [this, packed] { run_fold(packed); cb_exit(); };
+  const int s = unpack_s(packed);
+  const Bytes len = segs_.length(s);
+  if (opts_.gpu_reduce) {
+    // §4.2: the fold runs on the device; round-robin streams so independent
+    // segments overlap there.
+    gpu::Device* dev = ctx_->gpu();
+    dev->stream(s % dev->num_streams()).launch(dev->reduce_cost(len), fold);
+  } else {
+    // CPU folds run inside the event callbacks (progress context).
+    ctx_->defer_progress(detail::reduce_cost(*ctx_, opts_, len), fold);
+  }
 }
 
-void PersistentOp::run_fold(std::size_t c, int s, int window) {
+void PersistentOp::run_fold(std::uint64_t packed) {
   if (error_ != mpi::ErrCode::kOk) return;
-  if (!local_ready_[static_cast<std::size_t>(s)]) {
+  const std::size_t c = unpack_c(packed);
+  const int s = unpack_s(packed);
+  const int window = unpack_w(packed);
+  if (partitions_ > 0 && !local_ready_[static_cast<std::size_t>(s)]) {
     // Child data beat this rank's own contribution (partitioned op):
     // park the fold until pready(partition of s) replays it.
-    pending_folds_[static_cast<std::size_t>(s)].push_back(
-        pack3(c, s, window));
+    pending_folds_[static_cast<std::size_t>(s)].push_back(packed);
     return;
   }
   const Bytes len = segs_.length(s);
@@ -606,22 +721,19 @@ void PersistentOp::pump_parent() {
          ready_head_ < ready_tail_) {
     const int s = ready_q_[static_cast<std::size_t>(ready_head_++)];
     ++inflight_up_;
-    ++outstanding_;
     detail::segment_event(*ctx_, "seg_send", s);
-    auto req = ctx_->isend(edges_.parent_global, round_tag(0, s),
-                           piece(s).as_const(),
-                           opts_.spaces(ctx_->rank(), edges_.parent_global));
-    req->set_completion_cb([this](mpi::Request& r) {
-      if (r.failed()) {
-        fail(r.error());
-      } else {
-        --inflight_up_;
-        --remaining_;
-        pump_parent();
-      }
-      cb_exit();
-    });
+    arm<&PersistentOp::on_parent_sent>(
+        *ctx_->isend(edges_.parent_global, round_tag(0, s),
+                     piece(s).as_const(),
+                     opts_.spaces(ctx_->rank(), edges_.parent_global)),
+        0);
   }
+}
+
+void PersistentOp::on_parent_sent(std::uint64_t /*packed*/) {
+  --inflight_up_;
+  --remaining_;
+  pump_parent();
 }
 
 // ---------------------------------------------------------------- barrier ---
@@ -637,22 +749,15 @@ void PersistentOp::start_barrier() {
   for (int k = 0; k < bar_rounds_; ++k) {
     const int span = 1 << k;
     const Rank from = comm_.global((me - span + n) % n);
-    ++outstanding_;
-    auto req = ctx_->irecv(from, round_tag(0, k), mpi::MutView{});
-    req->set_completion_cb(
-        [this, packed = pack3(0, k, 0)](mpi::Request& r) {
-          if (r.failed()) {
-            fail(r.error());
-          } else {
-            on_barrier_recv(unpack_s(packed));
-          }
-          cb_exit();
-        });
+    arm<&PersistentOp::on_barrier_recv>(
+        *ctx_->irecv(from, round_tag(0, k), mpi::MutView{}), pack3(0, k, 0));
   }
-  on_barrier_recv(-1);  // "round -1 received": releases the round-0 send
+  // "Round -1 received": releases the round-0 send.
+  on_barrier_recv(pack3(0, -1, 0));
 }
 
-void PersistentOp::on_barrier_recv(int round) {
+void PersistentOp::on_barrier_recv(std::uint64_t packed) {
+  const int round = unpack_s(packed);
   if (round >= 0) {
     if (error_ != mpi::ErrCode::kOk) return;
     --remaining_;
@@ -663,27 +768,20 @@ void PersistentOp::on_barrier_recv(int round) {
   const Rank me = edges_.me_local;
   const int span = 1 << next;
   const Rank to = comm_.global((me + span) % n);
-  ++outstanding_;
-  auto req = ctx_->isend(to, round_tag(0, next), mpi::ConstView{});
-  req->set_completion_cb([this](mpi::Request& r) {
-    if (r.failed()) {
-      fail(r.error());
-    } else {
-      --remaining_;
-    }
-    cb_exit();
-  });
+  arm<&PersistentOp::on_barrier_sent>(
+      *ctx_->isend(to, round_tag(0, next), mpi::ConstView{}), 0);
 }
+
+void PersistentOp::on_barrier_sent(std::uint64_t /*packed*/) { --remaining_; }
 
 // -------------------------------------------------------------- factories ---
 
 PersistentOpPtr bcast_init(runtime::Context& ctx, const mpi::Comm& comm,
                            mpi::MutView buffer, Rank root,
                            const PersistentOpts& opts) {
-  PersistentOpPtr op(new PersistentOp());
-  op->buffer_ = buffer;
-  op->init_common(ctx, comm, PersistentOp::Kind::kBcast, buffer.size, root,
-                  opts);
+  PersistentOpPtr op(
+      new PersistentOp(ctx, comm, PersistentOp::Kind::kBcast, buffer));
+  op->init_persistent(buffer.size, root, opts);
   return op;
 }
 
@@ -691,12 +789,9 @@ PersistentOpPtr reduce_init(runtime::Context& ctx, const mpi::Comm& comm,
                             mpi::MutView accum, mpi::ReduceOp rop,
                             mpi::Datatype dtype, Rank root,
                             const PersistentOpts& opts) {
-  PersistentOpPtr op(new PersistentOp());
-  op->buffer_ = accum;
-  op->rop_ = rop;
-  op->dtype_ = dtype;
-  op->init_common(ctx, comm, PersistentOp::Kind::kReduce, accum.size, root,
-                  opts);
+  PersistentOpPtr op(new PersistentOp(ctx, comm, PersistentOp::Kind::kReduce,
+                                      accum, rop, dtype));
+  op->init_persistent(accum.size, root, opts);
   return op;
 }
 
@@ -704,12 +799,9 @@ PersistentOpPtr allreduce_init(runtime::Context& ctx, const mpi::Comm& comm,
                                mpi::MutView accum, mpi::ReduceOp rop,
                                mpi::Datatype dtype,
                                const PersistentOpts& opts) {
-  PersistentOpPtr op(new PersistentOp());
-  op->buffer_ = accum;
-  op->rop_ = rop;
-  op->dtype_ = dtype;
-  op->init_common(ctx, comm, PersistentOp::Kind::kAllreduce, accum.size,
-                  /*root=*/0, opts);
+  PersistentOpPtr op(new PersistentOp(
+      ctx, comm, PersistentOp::Kind::kAllreduce, accum, rop, dtype));
+  op->init_persistent(accum.size, /*root=*/0, opts);
   return op;
 }
 
@@ -717,10 +809,9 @@ PersistentOpPtr barrier_init(runtime::Context& ctx, const mpi::Comm& comm,
                              const PersistentOpts& opts) {
   ADAPT_CHECK(opts.partitions == 0) << "barrier has no data to partition";
   ADAPT_CHECK(opts.tree == nullptr) << "barrier takes no tree";
-  PersistentOpPtr op(new PersistentOp());
-  op->init_common(ctx, comm, PersistentOp::Kind::kBarrier, 0, /*root=*/0,
-                  opts);
-  op->edges_.me_local = comm.local_of(ctx.rank());
+  PersistentOpPtr op(
+      new PersistentOp(ctx, comm, PersistentOp::Kind::kBarrier, {}));
+  op->init_persistent(0, /*root=*/0, opts);
   return op;
 }
 

@@ -13,6 +13,10 @@
 // callback the round posts captures {this, packed-ints} — small and
 // trivially copyable, so std::function keeps it in inline storage.
 //
+// PersistentOp is the only ADAPT machine: per-call Style::kAdapt bcast/reduce
+// is its one-shot, early-wake form (one_shot(): the caller's tree and tags,
+// no plan, no pool warm-up, GPU paths allowed, woken at the first failure).
+//
 // Lifecycle (MPI-4 shaped, error codes instead of UB):
 //   * start() on a handle whose previous round has not been waited returns
 //     kErrPending; start() after the communicator was freed returns
@@ -39,6 +43,7 @@
 #include <vector>
 
 #include "src/coll/coll.hpp"
+#include "src/coll/detail.hpp"
 #include "src/tune/plan_cache.hpp"
 
 namespace adapt::coll {
@@ -77,10 +82,14 @@ class PersistentOp {
   /// that already failed reports false without error.
   mpi::ErrCode parrived(int p, bool* flag) const;
 
-  /// Awaitable round completion; throws mpi::FaultError on a failed round.
+  /// Awaitable round completion (a one-shot op also resumes at its first
+  /// failure); throws mpi::FaultError on a failed persistent round.
   struct [[nodiscard]] Awaiter {
     PersistentOp* op;
-    bool await_ready() const noexcept { return !op->in_flight_; }
+    bool await_ready() const noexcept {
+      return !op->in_flight_ ||
+             (op->one_shot_ && op->error_ != mpi::ErrCode::kOk);
+    }
     void await_suspend(std::coroutine_handle<> h) noexcept {
       op->waiter_ = h;
     }
@@ -95,10 +104,20 @@ class PersistentOp {
   /// Completed start/wait cycles (successful or failed).
   int rounds_completed() const { return rounds_completed_; }
   /// The immutable plan this handle replays (shared via the engine cache
-  /// unless an explicit tree was supplied).
+  /// unless an explicit tree was supplied). One-shot ops have none.
   const tune::CachedPlan& plan() const { return *plan_; }
   /// Error code the active/last round finished with (kOk while healthy).
   mpi::ErrCode last_error() const { return error_; }
+
+  /// Per-call Style::kAdapt bcast (`rop`/`dtype` unused) or reduce over this
+  /// rank's `edges` on tags [base_tag, base_tag + segments): one round of an
+  /// uncached op that throws FaultError at its first failed request (then
+  /// parking the op in the Context until its last callback retires).
+  static sim::Task<> one_shot(runtime::Context& ctx, const mpi::Comm& comm,
+                              Kind kind, detail::Edges edges,
+                              mpi::MutView buffer, mpi::ReduceOp rop,
+                              mpi::Datatype dtype, const CollOpts& opts,
+                              Tag base_tag);
 
  private:
   friend std::unique_ptr<PersistentOp> bcast_init(runtime::Context&,
@@ -120,62 +139,76 @@ class PersistentOp {
                                                     const mpi::Comm&,
                                                     const PersistentOpts&);
 
-  PersistentOp() = default;
+  PersistentOp(runtime::Context& ctx, const mpi::Comm& comm, Kind kind,
+               mpi::MutView buffer, mpi::ReduceOp rop = {},
+               mpi::Datatype dtype = {})
+      : ctx_(&ctx), comm_(comm), kind_(kind), buffer_(buffer), rop_(rop),
+        dtype_(dtype) {}
 
-  struct Edges {
-    Rank me_local = -1;
-    Rank parent_global = -1;
-    std::vector<Rank> kids_global;
-    bool is_root = false;
-  };
-
-  void init_common(runtime::Context& ctx, const mpi::Comm& comm, Kind kind,
-                   Bytes bytes, Rank root, const PersistentOpts& opts);
+  void init_persistent(Bytes bytes, Rank root, const PersistentOpts& opts);
+  void size_state();  ///< sizes round state for edges_/segs_/opts_
+  void launch();      ///< resets and starts one round
   void reset_round();
   Tag round_tag(int block_offset, int s) const;
   mpi::MutView piece(int s);
   mpi::MutView scratch_view(std::size_t c, int window, Bytes len);
 
+  template <void (PersistentOp::*OnOk)(std::uint64_t)>
+  void arm(mpi::Request& req, std::uint64_t packed);
   void fail(mpi::ErrCode code);
   void cb_exit();            ///< retire one posted callback, maybe finish
   void check_round_done();
+  static std::unique_ptr<PersistentOp> launch_one_shot(
+      runtime::Context& ctx, const mpi::Comm& comm, Kind kind,
+      detail::Edges edges, mpi::MutView buffer, mpi::ReduceOp rop,
+      mpi::Datatype dtype, const CollOpts& opts, Tag base_tag);
 
   // Broadcast machine (also the second stage of allreduce).
   void start_bcast();
   void post_next_bcast_recv();
-  void on_bcast_recv(int s);
+  void on_bcast_recv(std::uint64_t packed);
   bool bcast_root() const;
+  void stage(int s);
+  bool sendable(std::size_t c, int s) const;
   void pump_child(std::size_t c);
+  void on_child_sent(std::uint64_t packed);
 
   // Reduce machine (also the first stage of allreduce).
   void start_reduce();
   void post_reduce_recv(std::size_t c, int window);
-  void on_reduce_recv(std::size_t c, int s, int window);
-  void schedule_fold(std::size_t c, int s, int window);
-  void run_fold(std::size_t c, int s, int window);
+  void on_reduce_recv(std::uint64_t packed);
+  void schedule_fold(std::uint64_t packed);
+  void run_fold(std::uint64_t packed);
   void reduce_segment_ready(int s);
   void pump_parent();
+  void on_parent_sent(std::uint64_t packed);
 
   // Barrier machine.
   void start_barrier();
-  void on_barrier_recv(int round);
+  void on_barrier_recv(std::uint64_t packed);
+  void on_barrier_sent(std::uint64_t packed);
 
   // -- plan (immutable after init) ----------------------------------------
-  runtime::Context* ctx_ = nullptr;
-  mpi::Comm comm_ = mpi::Comm::world(1);  ///< keeps CommState alive
-  std::shared_ptr<const tune::CachedPlan> plan_;
-  Edges edges_;
+  runtime::Context* ctx_;
+  mpi::Comm comm_;  ///< keeps CommState alive
+  Kind kind_;
+  mpi::MutView buffer_;  ///< bcast buffer / reduce+allreduce accumulator
+  mpi::ReduceOp rop_;
+  mpi::Datatype dtype_;
+  std::shared_ptr<const tune::CachedPlan> plan_;  ///< null when one-shot
+  detail::Edges edges_;
   Segmenter segs_{0, 1};
   CollOpts opts_;
-  Kind kind_ = Kind::kBcast;
-  mpi::MutView buffer_;  ///< bcast buffer / reduce+allreduce accumulator
-  mpi::ReduceOp rop_{};
-  mpi::Datatype dtype_{};
   Tag base_tag_ = 0;
   int per_round_tags_ = 0;
   int partitions_ = 0;
   int bar_rounds_ = 0;  ///< barrier: dissemination round count
+  bool one_shot_ = false;
+  bool parked_ = false;  ///< one-shot woke early; the Context owns it now
   std::vector<mpi::Payload> scratch_;  ///< reduce: per (child, window)
+  bool flushes_ = false;  ///< §4.1: stage each segment into stage_dst_
+  MemSpace stage_dst_ = MemSpace::kDevice;
+  std::vector<char> child_needs_alt_;  ///< per child: edge sources stage_dst_
 
   // -- round state (reset by start, no allocation) -------------------------
   bool in_flight_ = false;
@@ -185,16 +218,17 @@ class PersistentOp {
   int rounds_completed_ = 0;
   std::coroutine_handle<> waiter_;
   std::vector<char> part_ready_;   // per partition: pready seen
-  std::vector<char> local_ready_;  // per segment: local data available
+  std::vector<char> local_ready_;  // per segment (partitioned): data ready
   // bcast
   std::vector<char> received_;
+  std::vector<char> alt_ready_;  // per segment: staged copy landed
   std::vector<int> next_send_;  // per child
   std::vector<int> inflight_;   // per child
   int next_recv_post_ = 0;
   // reduce
   std::vector<int> contributed_;  // per segment
   std::vector<int> next_recv_;    // per child
-  std::vector<std::vector<std::uint64_t>> pending_folds_;  // per segment
+  std::vector<std::vector<std::uint64_t>> pending_folds_;  // partitioned
   std::vector<int> ready_q_;  // ring of segments ready to send up
   int ready_head_ = 0;
   int ready_tail_ = 0;

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/mpi/endpoint.hpp"
 #include "src/mpi/p2p.hpp"
@@ -110,6 +112,15 @@ class Context {
     co_await mpi::wait(irecv(src, tag, buffer));
   }
 
+  /// Keeps `obj` alive for callbacks still posted against it after its owner
+  /// returned (a per-call ADAPT op woken at its first failure) until
+  /// unpark(obj). Whatever is still parked dies with this context, so an
+  /// engine torn down with requests still posted leaks nothing.
+  void park(std::shared_ptr<void> obj) { parked_.push_back(std::move(obj)); }
+  void unpark(const void* obj) {
+    std::erase_if(parked_, [obj](const auto& p) { return p.get() == obj; });
+  }
+
   /// Deterministic collective-tag allocation: every rank must call collective
   /// operations in the same order, so per-rank counters agree — the same
   /// contract MPI imposes on communicator usage.
@@ -122,6 +133,7 @@ class Context {
 
  private:
   Tag next_tag_ = 1 << 20;  // leave low tags free for user P2P
+  std::vector<std::shared_ptr<void>> parked_;
 };
 
 /// A rank program: started once per rank by Engine::run.

@@ -1,7 +1,11 @@
 // SimEngine-specific behaviour: main-thread vs progress-context timelines,
-// noise deferral semantics, compute/sleep, determinism of whole simulations.
+// noise deferral semantics, compute/sleep, determinism of whole simulations;
+// plus the IMB-style measurement harness and the bench::Cli flag parser.
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "src/bench/cli.hpp"
 #include "src/bench/imb.hpp"
 #include "src/coll/coll.hpp"
 #include "src/coll/topo_tree.hpp"
@@ -80,6 +84,31 @@ TEST(SimEngine, NoiseDefersMainThreadWork) {
   };
   engine.run(program);
   EXPECT_EQ(fired, burst_end);
+}
+
+TEST(SimEngine, ContextFreesParkedObjectsAtTeardown) {
+  // A one-shot collective that woke at a failure parks its op in the
+  // Context; unpark frees it, and whatever is still parked dies with the
+  // engine (requests still posted at teardown must not leak their op).
+  std::weak_ptr<int> kept;
+  std::weak_ptr<int> released;
+  {
+    topo::Machine m(topo::cori(1), 2);
+    SimEngine engine(m);
+    auto a = std::make_shared<int>(1);
+    auto b = std::make_shared<int>(2);
+    kept = a;
+    released = b;
+    engine.context(0).park(std::move(a));
+    engine.context(1).park(b);
+    const int* b_addr = b.get();
+    b.reset();
+    EXPECT_FALSE(released.expired());
+    engine.context(1).unpark(b_addr);
+    EXPECT_TRUE(released.expired());
+    EXPECT_FALSE(kept.expired());
+  }
+  EXPECT_TRUE(kept.expired());
 }
 
 TEST(SimEngine, RunCanBeCalledRepeatedly) {
@@ -177,6 +206,63 @@ TEST(ImbHarness, SubCommunicatorMeasurement) {
       bench::measure(engine, sub, fn, {.warmup = 0, .iterations = 3});
   EXPECT_EQ(result.op_ms.count(), 3u);
   EXPECT_GT(result.avg_ms(), 0.0);
+}
+
+// -- bench::Cli: every binary declares its flags ----------------------------
+
+const std::vector<bench::Cli::Flag> kFlags = {
+    {"iters", "N: iterations"}, {"json", "[FILE]: JSON output"}};
+
+TEST(BenchCli, ParsesDeclaredFlagsInEveryForm) {
+  const bench::Cli cli({"--iters", "7", "--json=out.json"}, kFlags);
+  EXPECT_EQ(cli.get_int("iters", 3), 7);
+  EXPECT_EQ(cli.get("json", "-"), "out.json");
+  EXPECT_FALSE(cli.help_requested());
+  const bench::Cli bare({"--json"}, kFlags);
+  EXPECT_TRUE(bare.has("json"));
+  EXPECT_EQ(bare.get("json", "-"), "1");
+  EXPECT_FALSE(bare.has("iters"));
+  EXPECT_EQ(bare.get_int("iters", 3), 3);
+}
+
+TEST(BenchCli, RejectsUnknownDuplicateAndPositionalArgumentsByName) {
+  const auto error_of = [](const std::vector<std::string>& args) {
+    try {
+      bench::Cli cli(args, kFlags);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of({"--iter", "2"}), "unknown flag --iter");
+  EXPECT_EQ(error_of({"--iters", "2", "--iters=3"}), "duplicate flag --iters");
+  EXPECT_EQ(error_of({"iters"}), "not a --flag: iters");
+  EXPECT_EQ(error_of({"--iters", "2"}), "no error");
+}
+
+TEST(BenchCli, HelpListsTheDeclaredFlags) {
+  const bench::Cli cli({"--help"}, kFlags);
+  EXPECT_TRUE(cli.help_requested());
+  const std::string usage = cli.usage("prog");
+  EXPECT_EQ(usage.rfind("usage: prog", 0), 0u);
+  for (const char* flag : {"--iters", "--json", "--help"}) {
+    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  }
+}
+
+TEST(BenchCli, RejectsMalformedIntegers) {
+  EXPECT_THROW(bench::Cli({"--iters", "12x"}, kFlags).get_int("iters", 1),
+               Error);
+  EXPECT_THROW(bench::Cli({"--iters="}, kFlags).get_int("iters", 1), Error);
+}
+
+TEST(BenchCliDeathTest, ExitsNonZeroOnUnknownFlagAndZeroOnHelp) {
+  std::string prog = "prog", typo = "--iterz", help = "--help";
+  char* bad[] = {prog.data(), typo.data()};
+  EXPECT_EXIT(bench::Cli(2, bad, kFlags), testing::ExitedWithCode(2),
+              "unknown flag --iterz");
+  char* ask[] = {prog.data(), help.data()};
+  EXPECT_EXIT(bench::Cli(2, ask, kFlags), testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
