@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "src/net/fabric.hpp"
 #include "src/net/routes.hpp"
 #include "src/obs/trace.hpp"
@@ -151,6 +155,169 @@ TEST(Fabric, RejectsBadRoutes) {
   Fabric fabric(sim);
   EXPECT_THROW(fabric.transfer(Route{{}, 0.0, 0}, 10, [] {}), adapt::Error);
   EXPECT_THROW(fabric.transfer(Route{{99}, 1.0, 0}, 10, [] {}), adapt::Error);
+}
+
+// ------------------------------------------------ randomized solver anchor ---
+//
+// Seeded scenarios that stress the max-min solver the way collectives do:
+// GPU-style 4-link routes (pcie_up + NIC + pcie_down + nic_bus) next to 1-,
+// 2- and 3-link routes, a few distinct caps so many flows share one
+// (links, cap) shape, serial_key transmit queues, zero-byte transfers,
+// staggered and tied start times, and completions that post follow-up
+// transfers. The hashes pin every completion (order and ns) and the
+// recorder's link-sample and transfer streams, so any change to the
+// solver's arithmetic or to the order it schedules events fails here.
+
+/// splitmix64: portable, unlike the std distributions, whose output is
+/// implementation-defined.
+struct AnchorRng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  int below(int n) {
+    return static_cast<int>(next() % static_cast<std::uint64_t>(n));
+  }
+};
+
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add_signed(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+};
+
+struct AnchorHashes {
+  std::uint64_t completions;
+  std::uint64_t recorder;
+  int transfers;
+};
+
+AnchorHashes run_solver_anchor(std::uint64_t seed, int initial_transfers) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  obs::Recorder rec;
+  fabric.set_recorder(&rec);
+  AnchorRng rng{seed};
+
+  constexpr int kNodes = 4;
+  constexpr int kGpus = 2;
+  const double link_caps[] = {3.0, 6.25, 10.0, 25.0};
+  auto link = [&] { return fabric.add_link(link_caps[rng.below(4)]); };
+  struct Node {
+    LinkId nic_tx, nic_rx, nic_bus, shm;
+    LinkId pcie_up[kGpus], pcie_down[kGpus];
+  };
+  std::vector<Node> nodes(kNodes);
+  for (Node& n : nodes) {
+    n.nic_tx = link();
+    n.nic_rx = link();
+    n.nic_bus = link();
+    n.shm = link();
+    for (int g = 0; g < kGpus; ++g) {
+      n.pcie_up[g] = link();
+      n.pcie_down[g] = link();
+    }
+  }
+
+  const double flow_caps[] = {1.5, 3.0, 8.0};
+  const Bytes sizes[] = {0, 777, 4096, 65536, 262144, 1 << 20};
+  const TimeNs alphas[] = {0, 250, 1400};
+  auto random_route = [&] {
+    Route r;
+    const int a = rng.below(kNodes);
+    int b = rng.below(kNodes - 1);
+    if (b >= a) ++b;
+    const Node& na = nodes[static_cast<std::size_t>(a)];
+    const Node& nb = nodes[static_cast<std::size_t>(b)];
+    switch (rng.below(4)) {
+      case 0:  // on-node copy
+        r.links = {na.shm};
+        break;
+      case 1:  // host-to-host across the NICs
+        r.links = {na.nic_tx, nb.nic_rx};
+        break;
+      case 2:  // device send into a remote host buffer
+        r.links = {na.pcie_up[rng.below(kGpus)], na.nic_tx, nb.nic_rx};
+        break;
+      default:  // device to remote device, staged through the NIC bus
+        r.links = {na.pcie_up[rng.below(kGpus)], na.nic_tx,
+                   nb.pcie_down[rng.below(kGpus)], nb.nic_bus};
+        break;
+    }
+    r.per_flow_cap = flow_caps[rng.below(3)];
+    r.alpha = alphas[rng.below(3)];
+    if (rng.below(4) == 0) r.serial_key = a * kNodes + b;
+    return r;
+  };
+
+  Fnv1a done;
+  int posted = 0;
+  int completed = 0;
+  int follow_ups_left = initial_transfers / 2;
+  std::function<void(Route, Bytes)> post = [&](Route r, Bytes bytes) {
+    const int id = posted++;
+    r.trace = rec.transfer_begin(0, 1, bytes, 0, sim.now());
+    fabric.transfer(r, bytes, [&, id, r, bytes] {
+      ++completed;
+      done.add(static_cast<std::uint64_t>(id));
+      done.add_signed(sim.now());
+      if (follow_ups_left > 0 && rng.below(3) == 0) {
+        --follow_ups_left;
+        post(r, bytes / 2);
+      }
+    });
+  };
+  for (int i = 0; i < initial_transfers; ++i) {
+    const TimeNs start = 250 * rng.below(200);  // ties on a 250 ns grid
+    Route r = random_route();
+    const Bytes bytes = sizes[rng.below(6)];
+    sim.at(start, [&post, r, bytes] { post(r, bytes); });
+  }
+  sim.run();
+  EXPECT_EQ(completed, posted);
+  EXPECT_EQ(fabric.active_flows(), 0);
+
+  Fnv1a recorded;
+  for (const obs::LinkSampleRec& s : rec.link_samples()) {
+    recorded.add_signed(s.link);
+    recorded.add_signed(s.t);
+    recorded.add_signed(s.flows);
+  }
+  for (const obs::TransferRec& t : rec.transfers()) {
+    recorded.add_signed(t.t_active);
+    recorded.add_signed(t.t_end);
+    recorded.add_signed(t.ideal);
+  }
+  return AnchorHashes{done.h, recorded.h, posted};
+}
+
+TEST(FabricAnchor, SeededScenariosKeepCompletionsAndSamples) {
+  struct Expect {
+    std::uint64_t seed;
+    std::uint64_t completions;
+    std::uint64_t recorder;
+    int transfers;
+  };
+  const Expect expected[] = {
+      {1, 0xa83a1a40fcfb7c66ull, 0x7d1adaad6f87be26ull, 450},
+      {2, 0xb3a9bbaddebc9e52ull, 0x5cc512243a942f33ull, 450},
+      {3, 0x34a9fdfeb4ed9a9dull, 0x348a17833ac049f6ull, 436},
+      {4, 0xf6dbc43d813429a7ull, 0xa2924ab19898895dull, 450},
+  };
+  for (const Expect& e : expected) {
+    const AnchorHashes got = run_solver_anchor(e.seed, 300);
+    EXPECT_EQ(got.completions, e.completions) << "seed " << e.seed;
+    EXPECT_EQ(got.recorder, e.recorder) << "seed " << e.seed;
+    EXPECT_EQ(got.transfers, e.transfers) << "seed " << e.seed;
+  }
 }
 
 // ------------------------------------------------------------ ClusterNet ---
