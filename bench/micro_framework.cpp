@@ -144,6 +144,7 @@ BENCHMARK(BM_BufferPoolSteadyState);
 
 void BM_FabricContendedFlows(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
+  std::uint64_t rescheduled = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     net::Fabric fabric(sim);
@@ -153,8 +154,15 @@ void BM_FabricContendedFlows(benchmark::State& state) {
     }
     sim.run();
     benchmark::DoNotOptimize(fabric.flows_completed());
+    rescheduled += fabric.solver_stats().flows_rescheduled;
   }
   state.SetItemsProcessed(state.iterations() * flows);
+  // One class on one link: every finish moves the shared rate, so each
+  // survivor's completion is rescheduled — O(n) per flow, the floor classes
+  // do not remove.
+  state.counters["reschedules_per_flow"] = benchmark::Counter(
+      static_cast<double>(rescheduled) /
+      static_cast<double>(state.iterations() * flows));
 }
 BENCHMARK(BM_FabricContendedFlows)->Arg(16)->Arg(256);
 

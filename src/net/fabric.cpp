@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
 
 #include "src/support/error.hpp"
@@ -23,7 +25,8 @@ Fabric::Fabric(sim::Simulator& simulator, SharingPolicy policy)
 LinkId Fabric::add_link(double capacity_bytes_per_ns) {
   ADAPT_CHECK(capacity_bytes_per_ns > 0.0);
   capacity_.push_back(capacity_bytes_per_ns);
-  link_flows_.emplace_back();
+  link_active_.push_back(0);
+  link_classes_.emplace_back();
   return static_cast<LinkId>(capacity_.size() - 1);
 }
 
@@ -40,6 +43,31 @@ int Fabric::allocate_slot() {
   }
   flows_.emplace_back();
   return static_cast<int>(flows_.size() - 1);
+}
+
+// Finds or creates the class of flows with this route's (links, cap). A
+// lookup hashes the key and walks that hash's chain; only a never-seen route
+// shape allocates.
+int Fabric::class_of(const Route& route) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the key words
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (LinkId l : route.links) mix(static_cast<std::uint64_t>(l));
+  std::uint64_t cap_bits = 0;
+  std::memcpy(&cap_bits, &route.per_flow_cap, sizeof cap_bits);
+  mix(cap_bits);
+  auto [it, inserted] = class_index_.try_emplace(h, -1);
+  for (int c = it->second; c >= 0;
+       c = classes_[static_cast<std::size_t>(c)].hash_next) {
+    const FlowClass& fc = classes_[static_cast<std::size_t>(c)];
+    if (fc.cap == route.per_flow_cap && fc.links == route.links) return c;
+  }
+  const int c = static_cast<int>(classes_.size());
+  FlowClass& fc = classes_.emplace_back();
+  fc.links = route.links;
+  fc.cap = route.per_flow_cap;
+  fc.hash_next = it->second;
+  it->second = c;
+  return c;
 }
 
 int Fabric::allocate_pending() {
@@ -118,10 +146,10 @@ void Fabric::transfer_tagged(const Route& route, Bytes bytes,
 
 void Fabric::start_flow(const Route& route, Bytes bytes,
                         TimeNs alpha_remaining, sim::EventFn on_complete) {
+  const int cls = class_of(route);
   const int slot = allocate_slot();
   Flow& f = flows_[static_cast<std::size_t>(slot)];
-  f.links = route.links;
-  f.cap = route.per_flow_cap;
+  f.cls = cls;
   f.remaining = static_cast<double>(bytes);
   f.rate = 0.0;
   f.serial_key = route.serial_key;
@@ -133,34 +161,90 @@ void Fabric::start_flow(const Route& route, Bytes bytes,
   sim_.after(alpha_remaining, [this, slot] { activate(slot); });
 }
 
+std::uint64_t Fabric::head_seq(int cls) const {
+  const int head = classes_[static_cast<std::size_t>(cls)].head;
+  return flows_[static_cast<std::size_t>(head)].seq;
+}
+
 void Fabric::activate(int flow_index) {
   Flow& f = flows_[static_cast<std::size_t>(flow_index)];
   f.active = true;
   f.settled_at = sim_.now();
-  for (LinkId l : f.links)
-    link_flows_[static_cast<std::size_t>(l)].push_back(flow_index);
+  f.seq = ++activation_seq_;
+  const int cls = f.cls;
+  FlowClass& fc = classes_[static_cast<std::size_t>(cls)];
+  f.prev = fc.tail;
+  f.next = -1;
+  if (fc.tail >= 0) {
+    flows_[static_cast<std::size_t>(fc.tail)].next = flow_index;
+  } else {
+    fc.head = flow_index;
+  }
+  fc.tail = flow_index;
+  fc.gained = true;
+  if (fc.active++ == 0) {
+    // The newest activation sorts last on every link (a link repeated in
+    // the route lists the class once).
+    for (LinkId l : fc.links) {
+      auto& on_link = link_classes_[static_cast<std::size_t>(l)];
+      if (on_link.empty() || on_link.back() != cls) on_link.push_back(cls);
+    }
+  }
+  for (LinkId l : fc.links) ++link_active_[static_cast<std::size_t>(l)];
   ++active_count_;
   peak_active_ = std::max<std::uint64_t>(
       peak_active_, static_cast<std::uint64_t>(active_count_));
   if (recorder_) {
     if (f.trace) recorder_->transfer_active(f.trace, sim_.now(), f.ideal);
-    for (LinkId l : f.links) {
-      recorder_->link_sample(
-          l, sim_.now(),
-          static_cast<std::int64_t>(
-              link_flows_[static_cast<std::size_t>(l)].size()));
+    for (LinkId l : fc.links) {
+      recorder_->link_sample(l, sim_.now(),
+                             link_active_[static_cast<std::size_t>(l)]);
     }
   }
-  rebalance_component(f.links);
+  rebalance_component(cls);
+}
+
+// The class lost its oldest member, so its sort key grew: move it right past
+// the classes whose oldest member is now older. Idempotent, so a link that
+// appears twice in the route is handled by the second call finding it placed.
+void Fabric::sink_class(std::vector<int>& on_link, int cls) {
+  auto it = std::find(on_link.begin(), on_link.end(), cls);
+  const std::uint64_t seq = head_seq(cls);
+  for (auto next = it + 1; next != on_link.end() && head_seq(*next) < seq;
+       ++it, ++next) {
+    std::iter_swap(it, next);
+  }
 }
 
 void Fabric::finish(int flow_index) {
   Flow& f = flows_[static_cast<std::size_t>(flow_index)];
   ADAPT_CHECK(f.active);
   f.active = false;
-  for (LinkId l : f.links) {
-    auto& lst = link_flows_[static_cast<std::size_t>(l)];
-    lst.erase(std::find(lst.begin(), lst.end(), flow_index));
+  const int cls = f.cls;
+  FlowClass& fc = classes_[static_cast<std::size_t>(cls)];
+  const bool was_head = f.prev < 0;
+  if (f.prev >= 0) {
+    flows_[static_cast<std::size_t>(f.prev)].next = f.next;
+  } else {
+    fc.head = f.next;
+  }
+  if (f.next >= 0) {
+    flows_[static_cast<std::size_t>(f.next)].prev = f.prev;
+  } else {
+    fc.tail = f.prev;
+  }
+  f.prev = f.next = -1;
+  --fc.active;
+  for (LinkId l : fc.links) {
+    const auto lu = static_cast<std::size_t>(l);
+    --link_active_[lu];
+    auto& on_link = link_classes_[lu];
+    if (fc.active == 0) {
+      auto it = std::find(on_link.begin(), on_link.end(), cls);
+      if (it != on_link.end()) on_link.erase(it);
+    } else if (was_head) {
+      sink_class(on_link, cls);
+    }
   }
   --active_count_;
   ++completed_;
@@ -168,22 +252,12 @@ void Fabric::finish(int flow_index) {
   f.on_complete = nullptr;
   const std::int64_t key = f.serial_key;
   f.serial_key = -1;
-  // Swap the links into a member scratch instead of moving to a local: the
-  // slot is recycled before `cb` runs and may be reused underneath us, but a
-  // move would strand the vector's capacity in a dying temporary — the swap
-  // keeps capacities circulating between the scratch and the slots, so
-  // steady-state flow churn never reallocates.
-  finish_links_.swap(f.links);
-  f.links.clear();
-  const std::vector<LinkId>& links = finish_links_;
   if (recorder_) {
     if (f.trace) recorder_->transfer_end(f.trace, sim_.now());
-    for (LinkId l : links) {
+    for (LinkId l : fc.links) {
       recorder_->metrics().link_bytes(l) += f.bytes_total;
-      recorder_->link_sample(
-          l, sim_.now(),
-          static_cast<std::int64_t>(
-              link_flows_[static_cast<std::size_t>(l)].size()));
+      recorder_->link_sample(l, sim_.now(),
+                             link_active_[static_cast<std::size_t>(l)]);
     }
   }
   f.trace = 0;
@@ -191,7 +265,8 @@ void Fabric::finish(int flow_index) {
   f.ideal = 0;
   free_slots_.push_back(flow_index);
 
-  // Hand the pair's transmit queue to the next waiting message.
+  // Hand the pair's transmit queue to the next waiting message. This may
+  // reuse the slot and grow classes_: `f` and `fc` are dead from here on.
   if (key >= 0) {
     SerialQueue& q = serial_[key];
     if (q.head >= 0) {
@@ -210,82 +285,85 @@ void Fabric::finish(int flow_index) {
     }
   }
 
-  rebalance_component(links);
+  rebalance_component(cls);
   cb();
 }
 
-// Collects the connected component of flows reachable from `seed_links`
-// through shared links. Rates in max-min fair sharing can only change within
-// this component, so everything else is left untouched — the key to keeping
-// per-event cost proportional to local congestion, not cluster size.
-void Fabric::collect_component(const std::vector<LinkId>& seed_links,
-                               std::vector<int>& flows_out,
-                               std::vector<LinkId>& links_out) {
+// Max–min rates over the connected component of classes reachable from the
+// seed class's links: rates can only change within it, so per-event cost
+// tracks local congestion, not cluster size. Every step mirrors a per-flow
+// solver over activation-ordered link lists (DESIGN §4.1): classes are met
+// in that solver's BFS order, a fixed class subtracts its level once per
+// member, and the flows to reschedule are emitted in that solver's order.
+void Fabric::rebalance_component(int seed_class) {
   ++visit_epoch_;
   link_seen_.resize(capacity_.size(), 0);
-  flow_seen_.resize(flows_.size(), 0);
-
-  std::vector<LinkId>& link_queue = bfs_queue_;  // member scratch: no alloc
-  link_queue.clear();
-  for (LinkId l : seed_links) {
-    if (link_seen_[static_cast<std::size_t>(l)] != visit_epoch_) {
-      link_seen_[static_cast<std::size_t>(l)] = visit_epoch_;
-      link_queue.push_back(l);
-      links_out.push_back(l);
-    }
-  }
-  for (std::size_t qi = 0; qi < link_queue.size(); ++qi) {
-    const LinkId l = link_queue[qi];
-    for (int fi : link_flows_[static_cast<std::size_t>(l)]) {
-      if (flow_seen_[static_cast<std::size_t>(fi)] == visit_epoch_) continue;
-      flow_seen_[static_cast<std::size_t>(fi)] = visit_epoch_;
-      flows_out.push_back(fi);
-      for (LinkId fl : flows_[static_cast<std::size_t>(fi)].links) {
-        if (link_seen_[static_cast<std::size_t>(fl)] != visit_epoch_) {
-          link_seen_[static_cast<std::size_t>(fl)] = visit_epoch_;
-          link_queue.push_back(fl);
-          links_out.push_back(fl);
-        }
+  comp_links_.clear();
+  comp_classes_.clear();
+  auto reach = [this](const FlowClass& fc) {
+    for (LinkId l : fc.links) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (link_seen_[lu] != visit_epoch_) {
+        link_seen_[lu] = visit_epoch_;
+        comp_links_.push_back(l);
       }
     }
+  };
+  reach(classes_[static_cast<std::size_t>(seed_class)]);
+  for (std::size_t qi = 0; qi < comp_links_.size(); ++qi) {
+    const auto lu = static_cast<std::size_t>(comp_links_[qi]);
+    for (int c : link_classes_[lu]) {
+      FlowClass& fc = classes_[static_cast<std::size_t>(c)];
+      if (fc.seen == visit_epoch_) continue;
+      fc.seen = visit_epoch_;
+      fc.group = qi;
+      fc.rate = -1.0;
+      comp_classes_.push_back(c);
+      reach(fc);
+    }
   }
-}
-
-void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
-  scratch_flows_.clear();
-  scratch_links_.clear();
-  collect_component(seed_links, scratch_flows_, scratch_links_);
-  if (scratch_flows_.empty()) return;
-
-  const std::vector<int>& flows = scratch_flows_;
-  const std::vector<LinkId>& links = scratch_links_;
-  const std::size_t n = flows.size();
+  if (comp_classes_.empty()) return;
+  const std::size_t n = comp_classes_.size();
+  ++stats_.rebalances;
+  stats_.classes_visited += n;
 
   // Progressive filling restricted to the component. Links outside carry
   // none of these flows by construction.
   residual_.resize(capacity_.size());
   unfixed_on_.resize(capacity_.size());
-  for (LinkId l : links) {
-    residual_[static_cast<std::size_t>(l)] =
-        capacity_[static_cast<std::size_t>(l)];
-    unfixed_on_[static_cast<std::size_t>(l)] = static_cast<int>(
-        link_flows_[static_cast<std::size_t>(l)].size());
+  owed_.resize(capacity_.size());
+  for (LinkId l : comp_links_) {
+    const auto lu = static_cast<std::size_t>(l);
+    residual_[lu] = capacity_[lu];
+    unfixed_on_[lu] = link_active_[lu];
+    owed_[lu] = 0;
   }
+  // Fixing k flows at `level` owes each of their links k clamped
+  // subtractions, applied one flow at a time as a per-flow solver would: a
+  // single r - k * level rounds differently. The debt is paid when the
+  // residual is next read; a link whose flows are all fixed is never read
+  // again in this solve, so its debt is dropped.
+  auto pay = [this](std::size_t lu, double level) {
+    double r = residual_[lu];
+    for (int k = owed_[lu]; k > 0 && r > 0.0; --k) {
+      r = std::max(0.0, r - level);
+    }
+    residual_[lu] = r;
+    owed_[lu] = 0;
+  };
 
-  rates_.assign(n, -1.0);
   std::size_t nfixed = 0;
   while (nfixed < n) {
     double link_share = kInf;
-    for (LinkId l : links) {
+    for (LinkId l : comp_links_) {
       const auto lu = static_cast<std::size_t>(l);
       if (unfixed_on_[lu] > 0)
         link_share = std::min(link_share, residual_[lu] / unfixed_on_[lu]);
     }
     double flow_cap = kInf;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rates_[i] < 0.0)
-        flow_cap = std::min(flow_cap,
-                            flows_[static_cast<std::size_t>(flows[i])].cap);
+    for (int c : comp_classes_) {
+      const FlowClass& fc = classes_[static_cast<std::size_t>(c)];
+      if (fc.rate < 0.0) flow_cap = std::min(flow_cap, fc.cap);
     }
     const bool cap_binds = flow_cap <= link_share;
     const double level = cap_binds ? flow_cap : link_share;
@@ -293,16 +371,17 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
     const double threshold = level * (1.0 + 1e-12);
 
     bool fixed_any = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rates_[i] >= 0.0) continue;
-      const Flow& f = flows_[static_cast<std::size_t>(flows[i])];
+    for (int c : comp_classes_) {
+      FlowClass& fc = classes_[static_cast<std::size_t>(c)];
+      if (fc.rate >= 0.0) continue;
       bool binds;
       if (cap_binds) {
-        binds = f.cap <= threshold;
+        binds = fc.cap <= threshold;
       } else {
         binds = false;
-        for (LinkId l : f.links) {
+        for (LinkId l : fc.links) {
           const auto lu = static_cast<std::size_t>(l);
+          pay(lu, level);
           if (residual_[lu] / unfixed_on_[lu] <= threshold) {
             binds = true;
             break;
@@ -310,38 +389,77 @@ void Fabric::rebalance_component(const std::vector<LinkId>& seed_links) {
         }
       }
       if (!binds) continue;
-      rates_[i] = level;
+      fc.rate = level;
       ++nfixed;
       fixed_any = true;
-      for (LinkId l : f.links) {
+      for (LinkId l : fc.links) {
         const auto lu = static_cast<std::size_t>(l);
-        residual_[lu] = std::max(0.0, residual_[lu] - level);
-        --unfixed_on_[lu];
+        owed_[lu] += fc.active;
+        unfixed_on_[lu] -= fc.active;
       }
     }
     ADAPT_CHECK(fixed_any) << "progressive filling made no progress";
+    for (LinkId l : comp_links_) {
+      const auto lu = static_cast<std::size_t>(l);
+      if (unfixed_on_[lu] > 0) {
+        pay(lu, level);
+      } else {
+        owed_[lu] = 0;
+      }
+    }
   }
 
-  // Settle and reschedule only the flows whose rate actually changed.
+  // Settle and reschedule only members of classes whose rate moved bitwise
+  // or that gained a member. A per-flow BFS meets the flows of the classes
+  // discovered from one link in activation order, so each such group's
+  // members are merged by activation sequence: the event queue sees the same
+  // after()/cancel() sequence, and same-ns completions keep their order.
   const TimeNs now = sim_.now();
-  for (std::size_t i = 0; i < n; ++i) {
-    const int fi = flows[i];
-    Flow& f = flows_[static_cast<std::size_t>(fi)];
-    const double new_rate = rates_[i];
-    const bool changed =
-        std::abs(new_rate - f.rate) > kRateEps * std::max(1.0, f.rate);
-    if (!changed && f.completion.valid()) continue;
-
-    f.remaining =
-        std::max(0.0, f.remaining - f.rate * static_cast<double>(
-                                                 now - f.settled_at));
-    f.settled_at = now;
-    f.rate = new_rate;
-    f.completion.cancel();
-    ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
-    f.completion =
-        sim_.after(duration_of(f.remaining, f.rate), [this, fi] { finish(fi); });
+  auto later = std::greater<std::pair<std::uint64_t, int>>();
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t group =
+        classes_[static_cast<std::size_t>(comp_classes_[i])].group;
+    merge_.clear();
+    for (; i < n; ++i) {
+      FlowClass& fc = classes_[static_cast<std::size_t>(comp_classes_[i])];
+      if (fc.group != group) break;
+      if (fc.gained || fc.rate != fc.level) {
+        merge_.emplace_back(head_seq(comp_classes_[i]), fc.head);
+      }
+      fc.level = fc.rate;
+      fc.gained = false;
+    }
+    std::make_heap(merge_.begin(), merge_.end(), later);
+    while (!merge_.empty()) {
+      std::pop_heap(merge_.begin(), merge_.end(), later);
+      const int fi = merge_.back().second;
+      merge_.pop_back();
+      const Flow& f = flows_[static_cast<std::size_t>(fi)];
+      if (f.next >= 0) {
+        merge_.emplace_back(flows_[static_cast<std::size_t>(f.next)].seq,
+                            f.next);
+        std::push_heap(merge_.begin(), merge_.end(), later);
+      }
+      settle(fi, classes_[static_cast<std::size_t>(f.cls)].rate, now);
+    }
   }
+}
+
+void Fabric::settle(int flow_index, double rate, TimeNs now) {
+  Flow& f = flows_[static_cast<std::size_t>(flow_index)];
+  const bool changed =
+      std::abs(rate - f.rate) > kRateEps * std::max(1.0, f.rate);
+  if (!changed && f.completion.valid()) return;
+
+  f.remaining = std::max(
+      0.0, f.remaining - f.rate * static_cast<double>(now - f.settled_at));
+  f.settled_at = now;
+  f.rate = rate;
+  f.completion.cancel();
+  ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
+  f.completion = sim_.after(duration_of(f.remaining, f.rate),
+                            [this, flow_index] { finish(flow_index); });
+  ++stats_.flows_rescheduled;
 }
 
 }  // namespace adapt::net

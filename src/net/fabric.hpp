@@ -10,11 +10,21 @@
 // arguments: flows on *different* lanes (intra-socket / QPI / NIC / PCIe)
 // overlap perfectly, flows on the *same* lane contend proportionally — which
 // is exactly the distinction §3.2.2 and §4.1 reason about.
+//
+// The solver works on flow *classes*, not flows: flows with the same ordered
+// link list and per-flow cap always receive the same max–min rate, so a
+// rebalance walks the classes of the affected connected component (a handful
+// at scale, against hundreds of flows) and touches individual flows only to
+// reschedule the completions of classes whose rate moved. The arithmetic and
+// the order of event-queue calls are those of a per-flow solver, so virtual
+// time is unchanged (DESIGN §4.1).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/net/fault.hpp"
@@ -89,10 +99,23 @@ class Fabric {
   std::uint64_t peak_active_flows() const { return peak_active_; }
   double link_capacity(LinkId id) const;
 
+  /// Always-on rate-solver work counters (kept out of Recorder and
+  /// MetricsRegistry): component solves, flow classes those solves visited,
+  /// and flow completions they (re)scheduled. classes_visited / rebalances
+  /// is the per-solve work, bounded by classes rather than flows.
+  struct SolverStats {
+    std::uint64_t rebalances = 0;
+    std::uint64_t classes_visited = 0;
+    std::uint64_t flows_rescheduled = 0;
+  };
+  SolverStats solver_stats() const { return stats_; }
+
  private:
   struct Flow {
-    std::vector<LinkId> links;
-    double cap = 0.0;              // per-flow rate bound, bytes/ns
+    int cls = -1;                  // FlowClass index
+    std::uint64_t seq = 0;         // activation order (fabric-wide)
+    int prev = -1;                 // intrusive member list of the class
+    int next = -1;
     double remaining = 0.0;        // bytes
     double rate = 0.0;             // bytes/ns
     TimeNs settled_at = 0;         // virtual time `remaining` refers to
@@ -115,44 +138,69 @@ class Fabric {
     sim::EventFn on_complete;
     int next = -1;  ///< intrusive FIFO link within the pair's queue
   };
+  /// Flows sharing one (links, per_flow_cap) key. Classes persist once
+  /// created (bounded by the distinct route shapes in use), so steady-state
+  /// flow churn never allocates one.
+  struct FlowClass {
+    std::vector<LinkId> links;
+    double cap = 0.0;
+    int hash_next = -1;     // next class in this key hash's chain
+    int head = -1;          // active members, oldest activation first
+    int tail = -1;
+    int active = 0;
+    double level = 0.0;     // rate of the last solve that visited the class
+    bool gained = false;    // a member joined since that solve
+    // Per-solve scratch.
+    std::uint64_t seen = 0;  // visit epoch
+    std::size_t group = 0;   // index of the BFS link that discovered it
+    double rate = -1.0;      // this solve's rate; < 0 while unfixed
+  };
+
   void start_flow(const Route& route, Bytes bytes, TimeNs alpha_remaining,
                   sim::EventFn on_complete);
   int allocate_pending();
+  int class_of(const Route& route);
 
   void activate(int flow_index);
   void finish(int flow_index);
-  /// Recomputes max-min rates within the connected component of flows
-  /// reachable from `seed_links` (rates outside it cannot change), settling
-  /// and rescheduling only flows whose rate moved.
-  void rebalance_component(const std::vector<LinkId>& seed_links);
-  void collect_component(const std::vector<LinkId>& seed_links,
-                         std::vector<int>& flows_out,
-                         std::vector<LinkId>& links_out);
+  /// Recomputes max-min rates within the connected component of classes
+  /// reachable from `seed_class`'s links (rates outside it cannot change),
+  /// settling and rescheduling only flows whose rate moved.
+  void rebalance_component(int seed_class);
+  /// Restores a link's oldest-member order after `cls` lost its head.
+  void sink_class(std::vector<int>& on_link, int cls);
+  std::uint64_t head_seq(int cls) const;
+  void settle(int flow_index, double rate, TimeNs now);
   int allocate_slot();
 
   sim::Simulator& sim_;
   SharingPolicy policy_;
   const FaultInjector* injector_ = nullptr;
   obs::Recorder* recorder_ = nullptr;
-  std::vector<double> capacity_;            // per link
-  std::vector<std::vector<int>> link_flows_;  // active flows per link
-  std::vector<Flow> flows_;                 // slot-reused
+  std::vector<double> capacity_;  // per link
+  std::vector<int> link_active_;  // active flows crossing each link
+  /// Active classes per link, ordered by their oldest member's activation:
+  /// the order a per-flow BFS over activation-ordered link lists meets them.
+  std::vector<std::vector<int>> link_classes_;
+  std::vector<FlowClass> classes_;
+  std::unordered_map<std::uint64_t, int> class_index_;  // key hash -> chain
+  std::vector<Flow> flows_;       // slot-reused
   std::vector<int> free_slots_;
   int active_count_ = 0;
+  std::uint64_t activation_seq_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t peak_active_ = 0;
+  SolverStats stats_;
 
   // Scratch state reused across rebalances (epoch-marked visit flags).
   std::uint64_t visit_epoch_ = 0;
   std::vector<std::uint64_t> link_seen_;
-  std::vector<std::uint64_t> flow_seen_;
-  std::vector<int> scratch_flows_;
-  std::vector<LinkId> scratch_links_;
-  std::vector<LinkId> finish_links_;  // finish(): completed flow's links
-  std::vector<LinkId> bfs_queue_;     // collect_component() BFS worklist
+  std::vector<LinkId> comp_links_;  // component links, BFS order
+  std::vector<int> comp_classes_;   // component classes, BFS order
   std::vector<double> residual_;
   std::vector<int> unfixed_on_;
-  std::vector<double> rates_;
+  std::vector<int> owed_;  // per-link residual steps not yet applied
+  std::vector<std::pair<std::uint64_t, int>> merge_;  // (seq, flow) heap
 
   // Per-serial-key FIFO state: a key is "busy" while one of its flows is
   // queued for activation or active; waiters chain through pending_pool_

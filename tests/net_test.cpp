@@ -157,6 +157,35 @@ TEST(Fabric, RejectsBadRoutes) {
   EXPECT_THROW(fabric.transfer(Route{{99}, 1.0, 0}, 10, [] {}), adapt::Error);
 }
 
+TEST(Fabric, SolverWorkIsBoundedByClassesNotFlows) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  const LinkId shared = fabric.add_link(8.0);
+  const LinkId side = fabric.add_link(3.0);
+  // 256 flows in 4 (links, cap) classes, all contending on `shared`.
+  const Route shapes[] = {Route{{shared}, 1.0, 0}, Route{{shared}, 2.0, 0},
+                          Route{{shared, side}, 1.0, 0},
+                          Route{{side, shared}, 4.0, 0}};
+  int completed = 0;
+  for (int i = 0; i < 256; ++i) {
+    Route r = shapes[i % 4];
+    r.alpha = 10 * (i / 4);  // staggered activations
+    fabric.transfer(r, 20000 + 100 * (i % 7), [&] { ++completed; });
+  }
+  EXPECT_EQ(fabric.solver_stats().rebalances, 0u);
+  sim.run();
+  EXPECT_EQ(completed, 256);
+  EXPECT_EQ(fabric.peak_active_flows(), 256u);
+  const Fabric::SolverStats stats = fabric.solver_stats();
+  // One solve per activation and per finish, except the last finish, which
+  // leaves an empty component.
+  EXPECT_EQ(stats.rebalances, 511u);
+  // A per-flow solver would visit every active flow (up to 256) per solve.
+  EXPECT_LE(stats.classes_visited, 4 * stats.rebalances);
+  EXPECT_EQ(stats.classes_visited, 1780u);
+  EXPECT_EQ(stats.flows_rescheduled, 32754u);
+}
+
 // ------------------------------------------------ randomized solver anchor ---
 //
 // Seeded scenarios that stress the max-min solver the way collectives do:
