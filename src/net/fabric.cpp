@@ -161,11 +161,6 @@ void Fabric::start_flow(const Route& route, Bytes bytes,
   sim_.after(alpha_remaining, [this, slot] { activate(slot); });
 }
 
-std::uint64_t Fabric::head_seq(int cls) const {
-  const int head = classes_[static_cast<std::size_t>(cls)].head;
-  return flows_[static_cast<std::size_t>(head)].seq;
-}
-
 void Fabric::activate(int flow_index) {
   Flow& f = flows_[static_cast<std::size_t>(flow_index)];
   f.active = true;
@@ -183,6 +178,7 @@ void Fabric::activate(int flow_index) {
   fc.tail = flow_index;
   fc.gained = true;
   if (fc.active++ == 0) {
+    fc.oldest = f.seq;
     // The newest activation sorts last on every link (a link repeated in
     // the route lists the class once).
     for (LinkId l : fc.links) {
@@ -208,10 +204,10 @@ void Fabric::activate(int flow_index) {
 // the classes whose oldest member is now older. Idempotent, so a link that
 // appears twice in the route is handled by the second call finding it placed.
 void Fabric::sink_class(std::vector<int>& on_link, int cls) {
+  const std::uint64_t key = classes_[static_cast<std::size_t>(cls)].oldest;
   auto it = std::find(on_link.begin(), on_link.end(), cls);
-  const std::uint64_t seq = head_seq(cls);
-  for (auto next = it + 1; next != on_link.end() && head_seq(*next) < seq;
-       ++it, ++next) {
+  for (auto next = it + 1; next != on_link.end(); ++it, ++next) {
+    if (classes_[static_cast<std::size_t>(*next)].oldest >= key) break;
     std::iter_swap(it, next);
   }
 }
@@ -234,7 +230,9 @@ void Fabric::finish(int flow_index) {
     fc.tail = f.prev;
   }
   f.prev = f.next = -1;
-  --fc.active;
+  if (--fc.active > 0 && was_head) {
+    fc.oldest = flows_[static_cast<std::size_t>(fc.head)].seq;
+  }
   for (LinkId l : fc.links) {
     const auto lu = static_cast<std::size_t>(l);
     --link_active_[lu];
@@ -424,7 +422,7 @@ void Fabric::rebalance_component(int seed_class) {
       FlowClass& fc = classes_[static_cast<std::size_t>(comp_classes_[i])];
       if (fc.group != group) break;
       if (fc.gained || fc.rate != fc.level) {
-        merge_.emplace_back(head_seq(comp_classes_[i]), fc.head);
+        merge_.emplace_back(fc.oldest, fc.head);
       }
       fc.level = fc.rate;
       fc.gained = false;

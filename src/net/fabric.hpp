@@ -122,7 +122,7 @@ class Fabric {
     std::int64_t serial_key = -1;
     std::uint64_t trace = 0;       // obs record id (0 = untraced)
     Bytes bytes_total = 0;         // original size, for link byte counters
-    TimeNs ideal = 0;              // uncontended duration at `cap`
+    TimeNs ideal = 0;              // uncontended duration at the cap
     sim::EventFn on_complete;
     sim::EventHandle completion;
     bool active = false;
@@ -144,16 +144,17 @@ class Fabric {
   struct FlowClass {
     std::vector<LinkId> links;
     double cap = 0.0;
-    int hash_next = -1;     // next class in this key hash's chain
-    int head = -1;          // active members, oldest activation first
+    int hash_next = -1;        // next class in this key hash's chain
+    int head = -1;             // active members, oldest activation first
     int tail = -1;
     int active = 0;
-    double level = 0.0;     // rate of the last solve that visited the class
-    bool gained = false;    // a member joined since that solve
+    std::uint64_t oldest = 0;  // activation seq of `head`: the link sort key
+    double level = 0.0;        // rate of the last solve that visited it
+    bool gained = false;       // a member joined since that solve
     // Per-solve scratch.
-    std::uint64_t seen = 0;  // visit epoch
-    std::size_t group = 0;   // index of the BFS link that discovered it
-    double rate = -1.0;      // this solve's rate; < 0 while unfixed
+    std::uint64_t seen = 0;    // visit epoch
+    std::size_t group = 0;     // index of the BFS link that discovered it
+    double rate = -1.0;        // this solve's rate; < 0 while unfixed
   };
 
   void start_flow(const Route& route, Bytes bytes, TimeNs alpha_remaining,
@@ -169,7 +170,6 @@ class Fabric {
   void rebalance_component(int seed_class);
   /// Restores a link's oldest-member order after `cls` lost its head.
   void sink_class(std::vector<int>& on_link, int cls);
-  std::uint64_t head_seq(int cls) const;
   void settle(int flow_index, double rate, TimeNs now);
   int allocate_slot();
 
