@@ -40,6 +40,15 @@ The baseline's wall clock is only the usual catastrophic tripwire.
 
 Usage: check_perf.py --shard-scaling --run shard.json --baseline BENCH_shard.json
                      [--min-shard-speedup 3.0] [--threshold 0.4]
+
+Fig10 mode (--fig10) pins virtual time only: every simulated-time table of a
+fresh `fig10_scaling_cpu --iters 3 --jobs 0 --json` run (titles ending in
+"strong scaling time (ms)") must equal BENCH_fig10.json cell for cell. The
+host wall-clock tables are machine-dependent and are not compared. Use
+--iters 3, as the baseline was recorded: the tables report per-point means
+over the measured iterations, and --iters 1 rounds one cell differently.
+
+Usage: check_perf.py --fig10 --run fig10.json --baseline BENCH_fig10.json
 """
 
 import argparse
@@ -198,6 +207,60 @@ def check_shard_scaling(args):
     return 0
 
 
+SIM_TABLE_SUFFIX = "strong scaling time (ms)"
+
+
+def check_fig10(args):
+    with open(args.run) as f:
+        run = json.load(f)
+    with open(args.baseline) as f:
+        base = json.load(f)
+    failures = []
+    # The shape of the sweep decides the numbers; jobs does not (the
+    # parallel runner is deterministic), so it is not compared.
+    for key in ("iters", "msg_bytes"):
+        if run["meta"].get(key) != base["meta"].get(key):
+            failures.append(
+                f"meta {key}: run {run['meta'].get(key)} != baseline "
+                f"{base['meta'].get(key)} — not comparing the same sweep")
+    fresh = {t["title"]: t for t in run["tables"]}
+    pinned = [t for t in base["tables"] if t["title"].endswith(SIM_TABLE_SUFFIX)]
+    if not pinned:
+        failures.append("baseline has no simulated-time table")
+    for table in pinned:
+        title = table["title"]
+        got = fresh.get(title)
+        if got is None:
+            failures.append(f"{title}: missing from the run")
+            continue
+        if got["header"] != table["header"]:
+            failures.append(f"{title}: header {got['header']} != baseline "
+                            f"{table['header']}")
+            continue
+        rows = {r[0]: r for r in got["rows"]}
+        for want in table["rows"]:
+            have = rows.get(want[0])
+            if have is None:
+                failures.append(f"{title}: row {want[0]} missing")
+                continue
+            for col, w, h in zip(table["header"][1:], want[1:], have[1:]):
+                if w != h:
+                    failures.append(f"{title}: {want[0]}/{col} = {h} ms, "
+                                    f"baseline {w} ms")
+        if len(got["rows"]) != len(table["rows"]):
+            failures.append(f"{title}: {len(got['rows'])} rows, baseline "
+                            f"{len(table['rows'])}")
+        print(f"{title}: {len(table['rows'])} rows compared")
+
+    if failures:
+        print("\nFIG10 VIRTUAL-TIME GATE FAILED:", file=sys.stderr)
+        for f in failures:
+            print("  " + f, file=sys.stderr)
+        return 1
+    print("\nfig10 virtual time matches the baseline")
+    return 0
+
+
 def run_trace_diff(args):
     """On gate failure, attribute the regression: run `adapt-trace diff`
     between the committed trace baseline and the fresh run's trace, print
@@ -239,6 +302,9 @@ def main():
     ap.add_argument("--min-shard-speedup", type=float, default=3.0,
                     help="shard mode: 8-shard wall-clock speedup floor, "
                          "enforced only when the run's hw_threads >= 8")
+    ap.add_argument("--fig10", action="store_true",
+                    help="require a fig10_scaling_cpu --json report's "
+                         "simulated-time tables to equal the baseline's")
     ap.add_argument("--threshold", type=float, default=0.4,
                     help="fail when fresh throughput < threshold * baseline")
     ap.add_argument("--disabled-ratio", type=float, default=0.8,
@@ -268,6 +334,10 @@ def main():
         return check_steady(args)
     if args.shard_scaling:
         return check_shard_scaling(args)
+    if args.fig10:
+        if not args.baseline:
+            ap.error("--fig10 needs --baseline BENCH_fig10.json")
+        return check_fig10(args)
 
     if not args.baseline:
         ap.error("--baseline is required outside --steady mode")
