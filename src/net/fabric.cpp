@@ -55,7 +55,7 @@ int Fabric::class_of(const Route& route) {
   std::uint64_t cap_bits = 0;
   std::memcpy(&cap_bits, &route.per_flow_cap, sizeof cap_bits);
   mix(cap_bits);
-  auto [it, inserted] = class_index_.try_emplace(h, -1);
+  const auto it = class_index_.try_emplace(h, -1).first;
   for (int c = it->second; c >= 0;
        c = classes_[static_cast<std::size_t>(c)].hash_next) {
     const FlowClass& fc = classes_[static_cast<std::size_t>(c)];
