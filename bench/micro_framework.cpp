@@ -13,10 +13,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "src/coll/coll.hpp"
 #include "src/coll/topo_tree.hpp"
 #include "src/mpi/match.hpp"
+#include "src/mpi/op.hpp"
 #include "src/net/fabric.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/trace.hpp"
@@ -166,6 +168,54 @@ void BM_FabricContendedFlows(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricContendedFlows)->Arg(16)->Arg(256);
 
+// Several route shapes share links — NIC up and down, a core link, a
+// GPU-style pcie + NIC + pcie + bus path — at three caps, with staggered
+// starts, so each solve fills several classes instead of the one class
+// BM_FabricContendedFlows exercises. `classes_per_rebalance` is the class
+// solver's work per solve; per-flow scanning would show up as it tracking
+// the active flow count instead.
+void BM_FabricMixedRoutes(benchmark::State& state) {
+  const int flows = static_cast<int>(state.range(0));
+  net::Fabric::SolverStats totals;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    net::Fabric fabric(sim);
+    const net::LinkId nic_up = fabric.add_link(12.0);
+    const net::LinkId nic_down = fabric.add_link(12.0);
+    const net::LinkId core = fabric.add_link(20.0);
+    const net::LinkId pcie_up = fabric.add_link(16.0);
+    const net::LinkId pcie_down = fabric.add_link(16.0);
+    const net::LinkId bus = fabric.add_link(24.0);
+    const std::vector<net::LinkId> shapes[] = {
+        {nic_up},
+        {nic_up, core},
+        {nic_up, core, nic_down},
+        {pcie_up, nic_up, pcie_down, bus},
+        {bus},
+        {core, nic_down},
+    };
+    const double caps[] = {4.0, 8.0, 12.0};
+    for (int i = 0; i < flows; ++i) {
+      net::Route route{shapes[i % 6], caps[i % 3], 50 * (i / 6)};
+      fabric.transfer(route, 40000 + 1000 * (i % 5), [] {});
+    }
+    sim.run();
+    benchmark::DoNotOptimize(fabric.flows_completed());
+    const net::Fabric::SolverStats stats = fabric.solver_stats();
+    totals.rebalances += stats.rebalances;
+    totals.classes_visited += stats.classes_visited;
+    totals.flows_rescheduled += stats.flows_rescheduled;
+  }
+  state.SetItemsProcessed(state.iterations() * flows);
+  state.counters["classes_per_rebalance"] = benchmark::Counter(
+      static_cast<double>(totals.classes_visited) /
+      static_cast<double>(totals.rebalances ? totals.rebalances : 1));
+  state.counters["reschedules_per_flow"] = benchmark::Counter(
+      static_cast<double>(totals.flows_rescheduled) /
+      static_cast<double>(state.iterations() * flows));
+}
+BENCHMARK(BM_FabricMixedRoutes)->Arg(64)->Arg(256);
+
 void BM_MatcherThroughput(benchmark::State& state) {
   const int msgs = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -184,6 +234,60 @@ void BM_MatcherThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * msgs);
 }
 BENCHMARK(BM_MatcherThroughput)->Arg(64)->Arg(512);
+
+// The per-call collective pattern: every round posts a window of receives
+// on tags no earlier round used, then matches them. Drained buckets are
+// taken over by the next fresh keys, so `allocs_per_item` must stay 0.00 —
+// the same allocation-free contract as the other *SteadyState benches.
+void BM_MatcherFreshTagsSteadyState(benchmark::State& state) {
+  const int window = static_cast<int>(state.range(0));
+  mpi::Matcher matcher;
+  Tag next_tag = 0;
+  const auto round = [&] {
+    const Tag base = next_tag;
+    next_tag += window;
+    for (int i = 0; i < window; ++i) {
+      (void)matcher.post(
+          mpi::PostedRecv{nullptr, mpi::MutView{}, i % 4, base + i});
+    }
+    for (int i = 0; i < window; ++i) {
+      mpi::Envelope env;
+      env.src = i % 4;
+      env.tag = base + i;
+      benchmark::DoNotOptimize(matcher.arrive(std::move(env)));
+    }
+  };
+  round();
+  round();  // warm: the spare queue has cycled once
+  const std::uint64_t before = g_alloc_count.load();
+  std::uint64_t items = 0;
+  for (auto _ : state) {
+    round();
+    items += static_cast<std::uint64_t>(window);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      static_cast<double>(g_alloc_count.load() - before) /
+      static_cast<double>(items ? items : 1));
+}
+BENCHMARK(BM_MatcherFreshTagsSteadyState)->Arg(8)->Arg(64);
+
+// ADAPT's per-segment reduce fold: float sum over a 16 KiB segment.
+void BM_ReduceFold(benchmark::State& state) {
+  const Bytes bytes = state.range(0);
+  const std::size_t n = static_cast<std::size_t>(bytes) / sizeof(float);
+  std::vector<float> dst(n, 1.0f);
+  std::vector<float> src(n, 0.5f);
+  for (auto _ : state) {
+    mpi::apply(mpi::ReduceOp::kSum, mpi::Datatype::kFloat,
+               reinterpret_cast<std::byte*>(dst.data()),
+               reinterpret_cast<const std::byte*>(src.data()), bytes);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_ReduceFold)->Arg(16 * 1024);
 
 void BM_TopoTreeBuild(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

@@ -18,7 +18,10 @@
 // table. Every entry carries a monotone arrival stamp, and a match always
 // takes the lowest stamp among the bucket candidate and the wildcard
 // candidate — exactly the earliest-wins order of the original single-queue
-// scan, which the interleaving unit test pins down.
+// scan, which the interleaving unit test pins down. A drained bucket is kept
+// as a spare and handed to the next new key (see Table), so each table
+// holds at most the peak number of simultaneously live keys and the
+// wildcard scan never walks keys that drained long ago.
 #pragma once
 
 #include <cstdint>
@@ -79,28 +82,28 @@ class Matcher {
   std::size_t unexpected_count() const { return unexpected_count_; }
   std::uint64_t total_unexpected() const { return total_unexpected_; }
 
+  /// (src, tag) buckets held by both tables, live and spare alike. Stays at
+  /// the peak number of simultaneously live keys per table, however many
+  /// distinct keys the rank has matched.
+  std::size_t bucket_count() const {
+    return posted_.map.size() + unexpected_.map.size();
+  }
+  /// Drained buckets kept for reuse (a subset of bucket_count()).
+  std::size_t spare_buckets() const {
+    return posted_.spare_count() + unexpected_.spare_count();
+  }
+
   /// Approximate resident bytes of the matching structures: bucket-table
-  /// slots, per-bucket node overhead, and every Fifo's retained capacity.
-  /// Deterministic for a given rank's matching history (capacities grow by
-  /// the same doubling sequence whatever the shard count), which lets the
-  /// rank-state gauge sum it across ranks and stay byte-comparable across
-  /// --shards values.
+  /// slots, per-bucket node overhead (spare buckets included), every Fifo's
+  /// retained capacity, and the spare queues. Deterministic for a given
+  /// rank's matching history (capacities grow by the same doubling sequence
+  /// and spares are reused in drain order, whatever the shard count), which
+  /// lets the rank-state gauge sum it across ranks and stay byte-comparable
+  /// across --shards values.
   std::size_t footprint_bytes() const {
-    // unordered_map node: key + value + next pointer (libstdc++ layout).
-    constexpr std::size_t kNode = sizeof(std::uint64_t) + sizeof(void*);
-    std::size_t total = sizeof(Matcher);
-    total += posted_buckets_.bucket_count() * sizeof(void*);
-    for (const auto& [key, fifo] : posted_buckets_) {
-      total += kNode + sizeof(fifo) +
-               fifo.items.capacity() * sizeof(Stamped<PostedRecv>);
-    }
-    total += unexpected_buckets_.bucket_count() * sizeof(void*);
-    for (const auto& [key, fifo] : unexpected_buckets_) {
-      total += kNode + sizeof(fifo) +
-               fifo.items.capacity() * sizeof(Stamped<Envelope>);
-    }
-    total += posted_wild_.size() * sizeof(Stamped<PostedRecv>);
-    return total;
+    return sizeof(Matcher) + posted_.footprint_bytes() +
+           unexpected_.footprint_bytes() +
+           posted_wild_.size() * sizeof(Stamped<PostedRecv>);
   }
 
  private:
@@ -126,13 +129,13 @@ class Matcher {
   /// instead of a deque's chunk map, and contiguous for the scans.
   template <typename T>
   struct Fifo {
-    std::vector<Stamped<T>> items;
-    std::size_t head = 0;
+    std::vector<T> items;
+    std::uint32_t head = 0;
 
     bool empty() const { return head == items.size(); }
-    Stamped<T>& front() { return items[head]; }
-    const Stamped<T>& front() const { return items[head]; }
-    void push_back(Stamped<T> v) {
+    T& front() { return items[head]; }
+    const T& front() const { return items[head]; }
+    void push_back(T v) {
       // A bucket that never fully drains (steady-state traffic keeps an
       // entry in flight across every push) never hits the drained reset, so
       // the consumed prefix would grow `items` without bound. When a push is
@@ -156,12 +159,65 @@ class Matcher {
     }
   };
 
+  /// A (src, tag) bucket. The flag sits in the Fifo's tail padding, so a
+  /// bucket is no larger than its Fifo.
+  template <typename T>
+  struct Bucket : Fifo<Stamped<T>> {
+    /// On the table's spare queue. A bucket enters the queue when it first
+    /// drains and leaves it only when the queue reaches it again, so the
+    /// queue never holds a key twice and stays bounded by the table size.
+    bool queued = false;
+  };
+
+  /// Buckets keyed by concrete (src, tag). A drained bucket stays in the
+  /// map as a spare: a later receive on the same key (a replayed persistent
+  /// round) finds it in place, and a new key takes over the oldest spare's
+  /// node — extracted and re-keyed, Fifo capacity and all — before the map
+  /// allocates a fresh one. Per-call collectives use fresh tags every call,
+  /// so without the takeover every posted receive would cost one node and
+  /// one vector that are never freed.
+  template <typename T>
+  struct Table {
+    std::unordered_map<std::uint64_t, Bucket<T>> map;
+    /// Keys of drained buckets, oldest drain first. An entry whose bucket
+    /// has refilled since is skipped (and dequeued) when reached.
+    Fifo<std::uint64_t> spare_keys;
+
+    /// The non-empty bucket for `key`, or null.
+    Bucket<T>* find_live(std::uint64_t key) {
+      const auto it = map.find(key);
+      return it != map.end() && !it->second.empty() ? &it->second : nullptr;
+    }
+    /// The bucket `key`'s next entry goes into.
+    Bucket<T>& slot(std::uint64_t key);
+    /// Pops the front of `key`'s `bucket`, queueing the bucket as a spare if
+    /// that drained it.
+    T pop_front(std::uint64_t key, Bucket<T>& bucket);
+
+    std::size_t spare_count() const {
+      std::size_t n = 0;
+      for (const auto& [key, bucket] : map) n += bucket.empty() ? 1 : 0;
+      return n;
+    }
+    std::size_t footprint_bytes() const {
+      // unordered_map node: key + value + next pointer (libstdc++ layout).
+      constexpr std::size_t kNode =
+          sizeof(std::uint64_t) + sizeof(Bucket<T>) + sizeof(void*);
+      std::size_t total = map.bucket_count() * sizeof(void*) +
+                          spare_keys.items.capacity() * sizeof(std::uint64_t);
+      for (const auto& [key, bucket] : map) {
+        total += kNode + bucket.items.capacity() * sizeof(Stamped<T>);
+      }
+      return total;
+    }
+  };
+
   /// Fully specified receives, bucketed by (src, tag); FIFO within a bucket.
-  std::unordered_map<std::uint64_t, Fifo<PostedRecv>> posted_buckets_;
+  Table<PostedRecv> posted_;
   /// Receives with a kAnyRank/kAnyTag wildcard, in posting order.
   std::deque<Stamped<PostedRecv>> posted_wild_;
   /// Unexpected envelopes, bucketed by their concrete (src, tag).
-  std::unordered_map<std::uint64_t, Fifo<Envelope>> unexpected_buckets_;
+  Table<Envelope> unexpected_;
 
   std::uint64_t next_stamp_ = 0;
   std::size_t posted_count_ = 0;

@@ -26,7 +26,8 @@ const char* op_name(ReduceOp op);
 
 /// dst[i] = dst[i] OP src[i] over `bytes` worth of `dtype` elements.
 /// `bytes` must be a multiple of size_of(dtype); bitwise ops reject floating
-/// point dtypes.
+/// point dtypes. Integer sum and product wrap. The views need no alignment
+/// and may overlap; overlapping views fold in ascending element order.
 void apply(ReduceOp op, Datatype dtype, std::byte* dst, const std::byte* src,
            Bytes bytes);
 

@@ -381,6 +381,165 @@ TEST(Matcher, ExactBucketsKeepFifoWithinPair) {
   EXPECT_EQ(m.arrive(make_env(5, 2))->request.get(), r2.request.get());
 }
 
+// ------------------------------------------------------- bucket recycling
+//
+// Per-call collectives take fresh tags every call, so a rank's matcher sees
+// an endless stream of new (src, tag) keys. A drained bucket stays in its
+// table as a spare and the next new key takes over its node, so the tables
+// stay at the peak number of live keys and a warm matcher allocates nothing.
+// Null requests keep the counting allocator about the matcher alone.
+
+mpi::PostedRecv bare_recv(Rank src, Tag tag) {
+  return mpi::PostedRecv{nullptr, mpi::MutView{}, src, tag};
+}
+
+TEST(MatcherRecycling, FreshKeysPostedFirstKeepTablesFlat) {
+  mpi::Matcher m;
+  constexpr int kKeys = 10000;
+  constexpr int kWarm = 100;
+  std::size_t buckets = 0;
+  std::size_t footprint = 0;
+  std::uint64_t before = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    if (i == kWarm) {
+      buckets = m.bucket_count();
+      footprint = m.footprint_bytes();
+      before = g_alloc_count.load();
+    }
+    const Rank src = i % 7;
+    EXPECT_FALSE(m.post(bare_recv(src, 1000 + i)).has_value());
+    ASSERT_TRUE(m.arrive(make_env(src, 1000 + i)).has_value());
+  }
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "fresh keys allocated on a warm matcher";
+  EXPECT_EQ(m.bucket_count(), buckets);
+  EXPECT_EQ(m.bucket_count(), 1u) << "one live key at a time";
+  EXPECT_EQ(m.spare_buckets(), 1u) << "the drained bucket is kept as a spare";
+  EXPECT_EQ(m.footprint_bytes(), footprint);
+  EXPECT_EQ(m.posted_count(), 0u);
+}
+
+TEST(MatcherRecycling, FreshKeysArrivingFirstKeepTablesFlat) {
+  mpi::Matcher m;
+  constexpr int kKeys = 10000;
+  constexpr int kWarm = 100;
+  std::size_t footprint = 0;
+  std::uint64_t before = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    if (i == kWarm) {
+      footprint = m.footprint_bytes();
+      before = g_alloc_count.load();
+    }
+    const Rank src = i % 7;
+    EXPECT_FALSE(m.arrive(make_env(src, 1000 + i)).has_value());
+    ASSERT_TRUE(m.post(bare_recv(src, 1000 + i)).has_value());
+  }
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "fresh unexpected keys allocated on a warm matcher";
+  EXPECT_EQ(m.bucket_count(), 1u);
+  EXPECT_EQ(m.spare_buckets(), 1u);
+  EXPECT_EQ(m.footprint_bytes(), footprint);
+  EXPECT_EQ(m.total_unexpected(), static_cast<std::uint64_t>(kKeys));
+}
+
+TEST(MatcherRecycling, SlidingWindowStaysAtPeakLiveKeys) {
+  // ADAPT's M > N receive window: M receives on consecutive fresh tags are
+  // posted, and each match posts the next tag. The posted table never holds
+  // more than M buckets.
+  mpi::Matcher m;
+  constexpr int kWindow = 8;
+  for (int t = 0; t < kWindow; ++t) (void)m.post(bare_recv(3, t));
+  for (int t = 0; t < 5000; ++t) {
+    ASSERT_TRUE(m.arrive(make_env(3, t)).has_value());
+    (void)m.post(bare_recv(3, t + kWindow));
+    ASSERT_EQ(m.bucket_count(), static_cast<std::size_t>(kWindow)) << t;
+  }
+  EXPECT_EQ(m.spare_buckets(), 0u);
+  EXPECT_EQ(m.posted_count(), static_cast<std::size_t>(kWindow));
+}
+
+TEST(MatcherRecycling, RefilledSpareIsSkippedThenReused) {
+  mpi::Matcher m;
+  (void)m.post(bare_recv(1, 1));
+  (void)m.arrive(make_env(1, 1));  // (1, 1) drains: first in the spare queue
+  (void)m.post(bare_recv(1, 1));   // refills it in place
+  EXPECT_EQ(m.spare_buckets(), 0u);
+  (void)m.post(bare_recv(1, 2));   // the refilled spare is skipped: new node
+  EXPECT_EQ(m.bucket_count(), 2u);
+  (void)m.arrive(make_env(1, 1));  // drains again, and must be queued again
+  (void)m.post(bare_recv(1, 3));   // so this key takes it over
+  EXPECT_EQ(m.bucket_count(), 2u);
+  EXPECT_EQ(m.spare_buckets(), 0u);
+  EXPECT_TRUE(m.arrive(make_env(1, 2)).has_value());
+  EXPECT_TRUE(m.arrive(make_env(1, 3)).has_value());
+  EXPECT_FALSE(m.arrive(make_env(1, 1)).has_value()) << "(1, 1) was evicted";
+}
+
+TEST(MatcherRecycling, WildcardPostAfterChurnTakesEarliestArrival) {
+  mpi::Matcher m;
+  for (int i = 0; i < 10000; ++i) {
+    (void)m.arrive(make_env(i % 13, 50000 + i));
+    (void)m.post(bare_recv(i % 13, 50000 + i));
+  }
+  // Arrival order deliberately differs from key order, so a pick that
+  // followed bucket or hash order would show.
+  const Rank srcs[] = {9, 2, 9, 5, 2, 11};
+  const Tag tags[] = {77, 80, 76, 77, 80, 79};
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_FALSE(m.arrive(make_env(srcs[i], tags[i])).has_value());
+  }
+  auto by_tag = m.post(bare_recv(kAnyRank, 77));
+  ASSERT_TRUE(by_tag.has_value());
+  EXPECT_EQ(by_tag->src, 9);
+  EXPECT_EQ(by_tag->tag, 77);
+  auto by_src = m.post(bare_recv(2, kAnyTag));
+  ASSERT_TRUE(by_src.has_value());
+  EXPECT_EQ(by_src->tag, 80);
+  const Rank want_src[] = {9, 5, 2, 11};
+  const Tag want_tag[] = {76, 77, 80, 79};
+  for (int i = 0; i < 4; ++i) {
+    auto any = m.post(bare_recv(kAnyRank, kAnyTag));
+    ASSERT_TRUE(any.has_value()) << i;
+    EXPECT_EQ(any->src, want_src[i]) << i;
+    EXPECT_EQ(any->tag, want_tag[i]) << i;
+  }
+  EXPECT_EQ(m.unexpected_count(), 0u);
+}
+
+TEST(MatcherRecycling, ReplayedKeysAllocateNothing) {
+  // A persistent round replays the same keys every round: the drained
+  // buckets are found in place, whether receives are posted first or the
+  // envelopes arrive first.
+  mpi::Matcher m;
+  constexpr int kKeys = 64;
+  const auto round = [&](bool posted_first) {
+    for (int k = 0; k < kKeys; ++k) {
+      if (posted_first) {
+        (void)m.post(bare_recv(k % 8, 200 + k));
+      } else {
+        (void)m.arrive(make_env(k % 8, 200 + k));
+      }
+    }
+    for (int k = 0; k < kKeys; ++k) {
+      if (posted_first) {
+        (void)m.arrive(make_env(k % 8, 200 + k));
+      } else {
+        (void)m.post(bare_recv(k % 8, 200 + k));
+      }
+    }
+  };
+  round(true);
+  round(false);
+  const std::size_t footprint = m.footprint_bytes();
+  const std::uint64_t before = g_alloc_count.load();
+  for (int r = 0; r < 1000; ++r) round(r % 2 == 0);
+  EXPECT_EQ(g_alloc_count.load() - before, 0u)
+      << "replayed keys allocated";
+  EXPECT_EQ(m.footprint_bytes(), footprint);
+  EXPECT_EQ(m.bucket_count(), 2u * kKeys);
+  EXPECT_EQ(m.spare_buckets(), 2u * kKeys);
+}
+
 // -------------------------------------------------- steady-state allocation
 
 TEST(AllocationFree, EventQueueSteadyState) {

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/mpi/comm.hpp"
 #include "src/mpi/match.hpp"
 #include "src/mpi/op.hpp"
 #include "src/mpi/p2p.hpp"
 #include "src/runtime/sim_engine.hpp"
+#include "src/support/rng.hpp"
 #include "src/topo/presets.hpp"
 
 namespace adapt::mpi {
@@ -131,6 +137,213 @@ TEST(Matcher, FifoAmongEqualMatches) {
   const auto hit = m.arrive(make_env(1, 7));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->request.get(), first);
+}
+
+// ------------------------------------------------ fold vs scalar reference
+//
+// apply() folds disjoint views 64 bytes at a time so the compiler can
+// vectorize; every op x dtype must still match a plain ascending scalar loop
+// bit for bit, at block-boundary lengths, at misaligned addresses, and for
+// overlapping views (which take the scalar loop).
+
+template <typename T>
+T load_at(const std::vector<std::byte>& buf, std::size_t off) {
+  T v;
+  std::memcpy(&v, buf.data() + off, sizeof v);
+  return v;
+}
+
+template <typename T>
+T reference_op(ReduceOp op, T a, T b) {
+  if constexpr (std::is_integral_v<T>) {
+    using U = std::make_unsigned_t<T>;
+    switch (op) {
+      case ReduceOp::kSum: return static_cast<T>(static_cast<U>(a) + static_cast<U>(b));
+      case ReduceOp::kProd: return static_cast<T>(static_cast<U>(static_cast<U>(a) * static_cast<U>(b)));
+      case ReduceOp::kBand: return static_cast<T>(a & b);
+      case ReduceOp::kBor: return static_cast<T>(a | b);
+      default: break;
+    }
+  } else {
+    switch (op) {
+      case ReduceOp::kSum: return a + b;
+      case ReduceOp::kProd: return a * b;
+      default: break;
+    }
+  }
+  // std::max / std::min exactly: the first argument wins unless the
+  // comparison is true, which fixes the NaN and signed-zero results.
+  if (op == ReduceOp::kMax) return a < b ? b : a;
+  return b < a ? b : a;
+}
+
+/// The ascending scalar fold on one byte buffer, dst and src given as byte
+/// offsets into it (they may overlap).
+template <typename T>
+void reference_fold(ReduceOp op, std::vector<std::byte>& buf,
+                    std::size_t dst, std::size_t src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const T r = reference_op(op, load_at<T>(buf, dst + i * sizeof(T)),
+                             load_at<T>(buf, src + i * sizeof(T)));
+    std::memcpy(buf.data() + dst + i * sizeof(T), &r, sizeof r);
+  }
+}
+
+/// A random element. Floats mix in ±0, ±inf and denormals; `with_nan` adds
+/// the one quiet NaN bit pattern. Max/min only select an operand, so NaNs
+/// there test which one; sum/prod get no NaN inputs, because the payload an
+/// add or multiply of two different NaNs keeps is left to the compiler.
+template <typename T>
+T random_value(Rng& rng, bool with_nan) {
+  if constexpr (std::is_floating_point_v<T>) {
+    const T specials[] = {static_cast<T>(0.0),
+                          static_cast<T>(-0.0),
+                          std::numeric_limits<T>::infinity(),
+                          -std::numeric_limits<T>::infinity(),
+                          std::numeric_limits<T>::denorm_min(),
+                          static_cast<T>(1.0),
+                          static_cast<T>(-1.0),
+                          std::numeric_limits<T>::quiet_NaN()};
+    const std::uint64_t pick = rng.next_below(16);
+    if (pick < std::size(specials) - (with_nan ? 0 : 1)) return specials[pick];
+    return static_cast<T>((rng.next_double() - 0.5) * 1e6);
+  } else {
+    (void)with_nan;
+    return static_cast<T>(rng.next_u64());
+  }
+}
+
+/// `size` bytes holding random elements at byte offsets grid, grid + sizeof(T),
+/// ... (the offsets apply() reads), random bytes elsewhere.
+template <typename T>
+std::vector<std::byte> random_bytes(Rng& rng, std::size_t size,
+                                    std::size_t grid, bool with_nan) {
+  std::vector<std::byte> buf(size);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
+  for (std::size_t i = grid; i + sizeof(T) <= size; i += sizeof(T)) {
+    const T v = random_value<T>(rng, with_nan);
+    std::memcpy(buf.data() + i, &v, sizeof v);
+  }
+  return buf;
+}
+
+/// Index of the first differing byte, or npos.
+std::size_t first_mismatch(const std::vector<std::byte>& a,
+                           const std::vector<std::byte>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return i;
+  }
+  return std::string::npos;
+}
+
+template <typename T>
+void check_fold_matches_reference(Datatype dtype) {
+  std::vector<ReduceOp> ops = {ReduceOp::kSum, ReduceOp::kProd,
+                               ReduceOp::kMax, ReduceOp::kMin};
+  // Overlaps shifted by whole elements, by half a block, and (integers
+  // only: a float read across two elements can be any NaN) by bytes.
+  constexpr auto kSize = static_cast<std::ptrdiff_t>(sizeof(T));
+  std::vector<std::ptrdiff_t> shifts = {0, kSize, -kSize, 32};
+  if constexpr (std::is_integral_v<T>) {
+    ops.push_back(ReduceOp::kBand);
+    ops.push_back(ReduceOp::kBor);
+    shifts.push_back(3);
+    shifts.push_back(-3);
+  }
+  constexpr std::size_t kBlock = 64 / sizeof(T);
+  const std::size_t lengths[] = {0,          1,          kBlock - 1, kBlock,
+                                 kBlock + 1, 3 * kBlock + 5, 65536 + 3};
+  Rng rng(0xf01d + sizeof(T));
+  for (const ReduceOp op : ops) {
+    const bool with_nan = op == ReduceOp::kMax || op == ReduceOp::kMin;
+    for (const std::size_t n : lengths) {
+      const std::size_t bytes = n * sizeof(T);
+      SCOPED_TRACE(std::string(datatype_name(dtype)) + " " + op_name(op) +
+                   " n=" + std::to_string(n));
+      // Disjoint views at aligned and misaligned byte offsets.
+      for (const std::size_t dst_off : {0u, 1u, 3u}) {
+        for (const std::size_t src_off : {0u, 2u}) {
+          const std::vector<std::byte> dst0 =
+              random_bytes<T>(rng, bytes + 8, dst_off, with_nan);
+          std::vector<std::byte> src =
+              random_bytes<T>(rng, bytes + 8, src_off, with_nan);
+          // Reference: dst and src side by side in one buffer.
+          std::vector<std::byte> joint(dst0);
+          joint.insert(joint.end(), src.begin(), src.end());
+          reference_fold<T>(op, joint, dst_off, dst0.size() + src_off, n);
+          const std::vector<std::byte> want(joint.begin(),
+                                            joint.begin() + dst0.size());
+          std::vector<std::byte> got(dst0);
+          apply(op, dtype, got.data() + dst_off, src.data() + src_off,
+                static_cast<Bytes>(bytes));
+          EXPECT_EQ(first_mismatch(got, want), std::string::npos)
+              << "disjoint dst+" << dst_off << " src+" << src_off;
+        }
+      }
+      // dst == src, and partial overlap in both directions.
+      for (const std::ptrdiff_t shift : shifts) {
+        const std::size_t dst = 17;  // misaligned, with room below it
+        const std::size_t src =
+            static_cast<std::size_t>(static_cast<std::ptrdiff_t>(dst) + shift);
+        const std::vector<std::byte> buf0 =
+            random_bytes<T>(rng, dst + bytes + 64, dst % sizeof(T), with_nan);
+        std::vector<std::byte> want(buf0);
+        reference_fold<T>(op, want, dst, src, n);
+        std::vector<std::byte> got(buf0);
+        apply(op, dtype, got.data() + dst, got.data() + src,
+              static_cast<Bytes>(bytes));
+        EXPECT_EQ(first_mismatch(got, want), std::string::npos)
+            << "overlap shift " << shift;
+      }
+    }
+  }
+}
+
+TEST(OpFold, Uint8MatchesScalarReference) {
+  check_fold_matches_reference<std::uint8_t>(Datatype::kUint8);
+}
+TEST(OpFold, Int32MatchesScalarReference) {
+  check_fold_matches_reference<std::int32_t>(Datatype::kInt32);
+}
+TEST(OpFold, Int64MatchesScalarReference) {
+  check_fold_matches_reference<std::int64_t>(Datatype::kInt64);
+}
+TEST(OpFold, FloatMatchesScalarReference) {
+  check_fold_matches_reference<float>(Datatype::kFloat);
+}
+TEST(OpFold, DoubleMatchesScalarReference) {
+  check_fold_matches_reference<double>(Datatype::kDouble);
+}
+
+TEST(OpFold, MaxMinKeepNanAndSignedZeroOrder) {
+  // std::max(a, b) keeps a unless a < b: max(NaN, 1) is NaN, max(1, NaN)
+  // is 1, and max(+0, -0) is +0 while max(-0, +0) is -0. Long enough that
+  // the blocked (vectorized) path runs.
+  constexpr std::size_t kN = 64;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> dst(kN), src(kN);
+  for (std::size_t i = 0; i < kN; i += 4) {
+    dst[i] = nan;   src[i] = 1.f;
+    dst[i + 1] = 1.f;  src[i + 1] = nan;
+    dst[i + 2] = 0.f;  src[i + 2] = -0.f;
+    dst[i + 3] = -0.f; src[i + 3] = 0.f;
+  }
+  std::vector<float> mx(dst), mn(dst);
+  apply(ReduceOp::kMax, Datatype::kFloat, reinterpret_cast<std::byte*>(mx.data()),
+        reinterpret_cast<const std::byte*>(src.data()), kN * sizeof(float));
+  apply(ReduceOp::kMin, Datatype::kFloat, reinterpret_cast<std::byte*>(mn.data()),
+        reinterpret_cast<const std::byte*>(src.data()), kN * sizeof(float));
+  for (std::size_t i = 0; i < kN; i += 4) {
+    EXPECT_TRUE(std::isnan(mx[i])) << i;
+    EXPECT_EQ(mx[i + 1], 1.f) << i;
+    EXPECT_FALSE(std::signbit(mx[i + 2])) << i;
+    EXPECT_TRUE(std::signbit(mx[i + 3])) << i;
+    EXPECT_TRUE(std::isnan(mn[i])) << i;
+    EXPECT_EQ(mn[i + 1], 1.f) << i;
+    EXPECT_FALSE(std::signbit(mn[i + 2])) << i;
+    EXPECT_TRUE(std::signbit(mn[i + 3])) << i;
+  }
 }
 
 // --------------------------------------------------- engine-level P2P ---
