@@ -218,6 +218,9 @@ void Fabric::finish(int flow_index) {
   f.active = false;
   const int cls = f.cls;
   FlowClass& fc = classes_[static_cast<std::size_t>(cls)];
+  // Only the class's queued completion calls finish, and it has now fired.
+  ADAPT_CHECK(fc.armed_flow == flow_index);
+  fc.armed_flow = -1;
   const bool was_head = f.prev < 0;
   if (f.prev >= 0) {
     flows_[static_cast<std::size_t>(f.prev)].next = f.next;
@@ -284,6 +287,11 @@ void Fabric::finish(int flow_index) {
   }
 
   rebalance_component(cls);
+  // A solve that left this class's rate alone did not re-arm it.
+  const FlowClass& left = classes_[static_cast<std::size_t>(cls)];
+  if (left.active > 0 && left.armed_flow < 0) {
+    arm(cls, earliest_member(left));
+  }
   cb();
 }
 
@@ -410,10 +418,11 @@ void Fabric::rebalance_component(int seed_class) {
   // Settle and reschedule only members of classes whose rate moved bitwise
   // or that gained a member. A per-flow BFS meets the flows of the classes
   // discovered from one link in activation order, so each such group's
-  // members are merged by activation sequence: the event queue sees the same
-  // after()/cancel() sequence, and same-ns completions keep their order.
+  // members are merged by activation sequence: tickets are reserved in the
+  // per-flow solver's push order, and same-ns completions keep their order.
   const TimeNs now = sim_.now();
   auto later = std::greater<std::pair<std::uint64_t, int>>();
+  touched_.clear();
   for (std::size_t i = 0; i < n;) {
     const std::size_t group =
         classes_[static_cast<std::size_t>(comp_classes_[i])].group;
@@ -423,41 +432,83 @@ void Fabric::rebalance_component(int seed_class) {
       if (fc.group != group) break;
       if (fc.gained || fc.rate != fc.level) {
         merge_.emplace_back(fc.oldest, fc.head);
+        touched_.push_back(comp_classes_[i]);
+        fc.earliest = -1;
       }
       fc.level = fc.rate;
       fc.gained = false;
+    }
+    if (merge_.size() == 1) {
+      // One class: its member list is already in activation order.
+      for (int fi = merge_.front().second; fi >= 0;) {
+        fi = settle_member(fi, now);
+      }
+      continue;
     }
     std::make_heap(merge_.begin(), merge_.end(), later);
     while (!merge_.empty()) {
       std::pop_heap(merge_.begin(), merge_.end(), later);
       const int fi = merge_.back().second;
       merge_.pop_back();
-      const Flow& f = flows_[static_cast<std::size_t>(fi)];
-      if (f.next >= 0) {
-        merge_.emplace_back(flows_[static_cast<std::size_t>(f.next)].seq,
-                            f.next);
+      const int next = settle_member(fi, now);
+      if (next >= 0) {
+        merge_.emplace_back(flows_[static_cast<std::size_t>(next)].seq, next);
         std::push_heap(merge_.begin(), merge_.end(), later);
       }
-      settle(fi, classes_[static_cast<std::size_t>(f.cls)].rate, now);
     }
+  }
+  for (int c : touched_) {
+    arm(c, classes_[static_cast<std::size_t>(c)].earliest);
   }
 }
 
-void Fabric::settle(int flow_index, double rate, TimeNs now) {
+int Fabric::settle_member(int flow_index, TimeNs now) {
   Flow& f = flows_[static_cast<std::size_t>(flow_index)];
+  FlowClass& fc = classes_[static_cast<std::size_t>(f.cls)];
   const bool changed =
-      std::abs(rate - f.rate) > kRateEps * std::max(1.0, f.rate);
-  if (!changed && f.completion.valid()) return;
+      std::abs(fc.rate - f.rate) > kRateEps * std::max(1.0, f.rate);
+  if (changed || !f.ticketed) {
+    f.remaining = std::max(
+        0.0, f.remaining - f.rate * static_cast<double>(now - f.settled_at));
+    f.settled_at = now;
+    f.rate = fc.rate;
+    ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
+    f.ticket = sim_.reserve(now + duration_of(f.remaining, f.rate));
+    f.ticketed = true;
+    ++stats_.flows_rescheduled;
+  }
+  if (fc.earliest < 0 ||
+      f.ticket < flows_[static_cast<std::size_t>(fc.earliest)].ticket) {
+    fc.earliest = flow_index;
+  }
+  return f.next;
+}
 
-  f.remaining = std::max(
-      0.0, f.remaining - f.rate * static_cast<double>(now - f.settled_at));
-  f.settled_at = now;
-  f.rate = rate;
-  f.completion.cancel();
-  ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
-  f.completion = sim_.after(duration_of(f.remaining, f.rate),
-                            [this, flow_index] { finish(flow_index); });
-  ++stats_.flows_rescheduled;
+void Fabric::arm(int cls, int flow_index) {
+  FlowClass& fc = classes_[static_cast<std::size_t>(cls)];
+  const sim::EventTicket& ticket =
+      flows_[static_cast<std::size_t>(flow_index)].ticket;
+  if (fc.armed_flow >= 0) {
+    if (ticket.seq == fc.armed_seq) return;  // seqs name tickets uniquely
+    fc.armed.cancel();
+  }
+  fc.armed =
+      sim_.push_ticket(ticket, [this, flow_index] { finish(flow_index); });
+  fc.armed_flow = flow_index;
+  fc.armed_seq = ticket.seq;
+  ++stats_.completions_armed;
+}
+
+int Fabric::earliest_member(const FlowClass& fc) const {
+  int best = fc.head;
+  for (int fi = flows_[static_cast<std::size_t>(best)].next; fi >= 0;
+       fi = flows_[static_cast<std::size_t>(fi)].next) {
+    if (flows_[static_cast<std::size_t>(fi)].ticket <
+        flows_[static_cast<std::size_t>(best)].ticket) {
+      best = fi;
+    }
+  }
+  return best;
 }
 
 }  // namespace adapt::net

@@ -15,9 +15,16 @@
 // link list and per-flow cap always receive the same max–min rate, so a
 // rebalance walks the classes of the affected connected component (a handful
 // at scale, against hundreds of flows) and touches individual flows only to
-// reschedule the completions of classes whose rate moved. The arithmetic and
-// the order of event-queue calls are those of a per-flow solver, so virtual
-// time is unchanged (DESIGN §4.1).
+// re-settle the members of classes whose rate moved. The arithmetic and the
+// order in which completion keys are taken are those of a per-flow solver,
+// so virtual time is unchanged (DESIGN §4.1).
+//
+// Completions are queued per class, not per flow. Settling a member reserves
+// the event key its completion push would have taken (sim::EventTicket) and
+// keeps it on the flow; each class keeps one queued event, at its members'
+// least ticket, and re-pushes it only when that minimum changes. The queue
+// pops in key order, so the class event fires exactly when that member's own
+// event would have: the schedule, perturbed or not, is the per-flow one.
 #pragma once
 
 #include <cstdint>
@@ -101,31 +108,38 @@ class Fabric {
 
   /// Always-on rate-solver work counters (kept out of Recorder and
   /// MetricsRegistry): component solves, flow classes those solves visited,
-  /// and flow completions they (re)scheduled. classes_visited / rebalances
-  /// is the per-solve work, bounded by classes rather than flows.
+  /// flow completions they (re)scheduled, i.e. tickets reserved, and class
+  /// completion events pushed to the event queue. classes_visited /
+  /// rebalances is the per-solve work, bounded by classes rather than flows;
+  /// completions_armed is the part of the rescheduling that still reaches
+  /// the queue.
   struct SolverStats {
     std::uint64_t rebalances = 0;
     std::uint64_t classes_visited = 0;
     std::uint64_t flows_rescheduled = 0;
+    std::uint64_t completions_armed = 0;
   };
   SolverStats solver_stats() const { return stats_; }
 
  private:
-  struct Flow {
+  /// Fields a solve reads and writes per member come first: they fill the
+  /// first 72 bytes of the 64-byte-aligned record.
+  struct alignas(64) Flow {
     int cls = -1;                  // FlowClass index
-    std::uint64_t seq = 0;         // activation order (fabric-wide)
     int prev = -1;                 // intrusive member list of the class
     int next = -1;
+    bool active = false;
+    bool ticketed = false;         // the slot has held a ticket (never reset)
     double remaining = 0.0;        // bytes
     double rate = 0.0;             // bytes/ns
     TimeNs settled_at = 0;         // virtual time `remaining` refers to
+    std::uint64_t seq = 0;         // activation order (fabric-wide)
+    sim::EventTicket ticket;       // completion key of the last settle
     std::int64_t serial_key = -1;
     std::uint64_t trace = 0;       // obs record id (0 = untraced)
     Bytes bytes_total = 0;         // original size, for link byte counters
     TimeNs ideal = 0;              // uncontended duration at the cap
     sim::EventFn on_complete;
-    sim::EventHandle completion;
-    bool active = false;
   };
 
   /// A transfer parked behind its pair's busy transmit queue. Lives in a
@@ -151,10 +165,14 @@ class Fabric {
     std::uint64_t oldest = 0;  // activation seq of `head`: the link sort key
     double level = 0.0;        // rate of the last solve that visited it
     bool gained = false;       // a member joined since that solve
+    sim::EventHandle armed;    // the class's one queued completion
+    int armed_flow = -1;       // member it finishes; -1 while none is queued
+    std::uint64_t armed_seq = 0;  // that member's ticket seq when pushed
     // Per-solve scratch.
     std::uint64_t seen = 0;    // visit epoch
     std::size_t group = 0;     // index of the BFS link that discovered it
     double rate = -1.0;        // this solve's rate; < 0 while unfixed
+    int earliest = -1;         // settled member with the least ticket
   };
 
   void start_flow(const Route& route, Bytes bytes, TimeNs alpha_remaining,
@@ -170,7 +188,15 @@ class Fabric {
   void rebalance_component(int seed_class);
   /// Restores a link's oldest-member order after `cls` lost its head.
   void sink_class(std::vector<int>& on_link, int cls);
-  void settle(int flow_index, double rate, TimeNs now);
+  /// Re-settles a member of a class this solve touched, if its rate moved
+  /// (reserving its new completion ticket), and keeps the class's earliest
+  /// ticket. Returns the next member.
+  int settle_member(int flow_index, TimeNs now);
+  /// Keeps the class's queued completion at `flow_index`'s ticket, which
+  /// must be the least of its members': re-pushes only if it moved.
+  void arm(int cls, int flow_index);
+  /// The member with the least ticket, by a walk of the class's list.
+  int earliest_member(const FlowClass& fc) const;
   int allocate_slot();
 
   sim::Simulator& sim_;
@@ -197,6 +223,7 @@ class Fabric {
   std::vector<std::uint64_t> link_seen_;
   std::vector<LinkId> comp_links_;  // component links, BFS order
   std::vector<int> comp_classes_;   // component classes, BFS order
+  std::vector<int> touched_;        // classes whose members were settled
   std::vector<double> residual_;
   std::vector<int> unfixed_on_;
   std::vector<int> owed_;  // per-link residual steps not yet applied

@@ -120,6 +120,33 @@ EventHandle EventQueue::push(TimeNs time, EventFn fn) {
   return emplace(fire_time, tie, std::move(fn));
 }
 
+EventHandle EventQueue::push_ticket(const EventTicket& ticket, EventFn fn) {
+  ADAPT_CHECK(ticket.time >= last_)
+      << "ticket at " << ticket.time
+      << " is before the queue's current time " << last_
+      << " (simulated time is monotone)";
+  const std::uint32_t slot = acquire_slot();
+  detail::EventRecord& rec = slab_->record(slot);
+  rec.fn = std::move(fn);
+  const Entry e{ticket.time, ticket.tie, ticket.seq, slot, rec.gen};
+  const std::uint64_t diff = static_cast<std::uint64_t>(ticket.time) ^
+                             static_cast<std::uint64_t>(last_);
+  if (diff == 0) {
+    cohort_.push_back(e);
+    sift_up(cohort_.size() - 1);
+  } else {
+    const int level = level_of(diff);
+    buckets_[static_cast<std::size_t>(level)].push_back(e);
+    bucket_mask_ |= 1ull << level;
+  }
+  ++count_;
+  if (stats_) {
+    stats_->max_depth = std::max<std::uint64_t>(stats_->max_depth, count_);
+  }
+  if (slab_->cancelled_in_heap * 2 > count_) compact();
+  return EventHandle(slab_.get(), slot, rec.gen);
+}
+
 EventHandle EventQueue::push_keyed(TimeNs time, std::uint64_t tie,
                                    EventFn fn) {
   // Perturbation draws would desynchronise the caller's canonical keys from

@@ -33,17 +33,30 @@
 // schedule, and the perturbation RNG draw order is exactly that of the
 // original shared_ptr<State> queue: same-seed traces stay byte-identical.
 //
+// Tickets (deferred pushes): reserve(time) takes exactly what push(time)
+// would take at that point — the next insertion sequence and, when
+// perturbed, the same jitter and tie draws in the same order — and returns
+// the resulting (time, tie, seq) key without queueing anything.
+// push_ticket(ticket, fn) later queues an event at that key and takes
+// nothing. Since the pop order is the unique ascending key order, a caller
+// that holds several tickets and keeps only their minimum queued (the fabric
+// does, one per flow class) pops in exactly the order it would have if it
+// had pushed every ticket: the reservation point, not the push, fixes the
+// schedule. A ticket may be pushed, cancelled and pushed again; it must not
+// be queued twice at once, and it must not be pushed below the queue's
+// current time (the same monotone check push makes).
+//
 // Lifetime contract: an EventHandle may not outlive its EventQueue (handles
 // hold an unowned pointer to the queue's slab; cancel() on a handle whose
 // queue is gone is undefined). Every holder in the tree satisfies this by
 // construction — e.g. SimEngine declares the Simulator before the Fabric
-// whose flows hold completion handles.
+// whose flow classes hold completion handles.
 //
 // Cancellation is lazy — a cancelled entry stays buried until it surfaces in
 // the current-time cohort — but bounded: a live count tracks cancelled
 // entries, and when they outnumber the live ones every level is compacted in
-// O(n), so mass cancellation (e.g. fabric rebalances rescheduling every
-// completion) can no longer grow the queue without bound.
+// O(n), so mass cancellation (e.g. a fabric solve re-arming the completion
+// of every class it touched) can no longer grow the queue without bound.
 #pragma once
 
 #include <array>
@@ -117,6 +130,17 @@ struct EventSlab {
 
 }  // namespace detail
 
+/// A reserved event key (see the header comment): the position in the pop
+/// order a push at the reservation point would have taken. Ordered like the
+/// queue's entries: time, then tie, then the unique seq.
+struct EventTicket {
+  TimeNs time = 0;
+  std::uint64_t tie = 0;
+  std::uint64_t seq = 0;
+
+  friend auto operator<=>(const EventTicket&, const EventTicket&) = default;
+};
+
 /// Cancellable handle to a scheduled event. Generation-stamped: cancelling
 /// after the event fired (or after its slot was recycled) is a no-op. Must
 /// not outlive the queue that issued it (see the header comment).
@@ -128,7 +152,6 @@ class EventHandle {
   void cancel() {
     if (slab_) slab_->cancel(slot_, gen_);
   }
-  bool valid() const { return slab_ != nullptr; }
 
  private:
   friend class EventQueue;
@@ -163,6 +186,16 @@ class EventQueue {
   /// the shard-local insertion sequence (which IS shard-dependent), so the
   /// caller owns uniqueness. Incompatible with perturbation (checked).
   EventHandle push_keyed(TimeNs time, std::uint64_t tie, EventFn fn);
+
+  /// Reserves the key push(time) would take now — the insertion sequence
+  /// and any perturbation draws — without queueing an event. Counts as one
+  /// scheduled event in total_scheduled() and the stats.
+  EventTicket reserve(TimeNs time);
+
+  /// Queues `fn` at a reserved key, taking no sequence number and no
+  /// perturbation draw. The ticket must not be queued already and must not
+  /// lie before the queue's current time (checked).
+  EventHandle push_ticket(const EventTicket& ticket, EventFn fn);
 
   /// Enables (or, with nullopt, disables) schedule perturbation for all
   /// subsequently pushed events. Typically set before any push.
@@ -233,7 +266,8 @@ class EventQueue {
   }
 
   /// Shared tail of push/push_keyed: slot acquisition, radix placement,
-  /// stats, bounded compaction.
+  /// stats, bounded compaction. push_ticket repeats the placement rather
+  /// than share it, so the push paths' code stays as it is.
   EventHandle emplace(TimeNs fire_time, std::uint64_t tie, EventFn fn);
 
   std::uint32_t acquire_slot();
@@ -269,5 +303,23 @@ class EventQueue {
   std::optional<PerturbConfig> perturb_;
   Rng perturb_rng_{0};
 };
+
+// Inline: the fabric reserves one ticket per re-settled flow, its hottest
+// call into the queue.
+inline EventTicket EventQueue::reserve(TimeNs time) {
+  // The same draws, in the same order, as push: a ticket later pushed sits
+  // exactly where the push would have put it.
+  TimeNs fire_time = time;
+  std::uint64_t tie = seq_;
+  if (perturb_) {
+    if (perturb_->max_jitter > 0) {
+      fire_time += static_cast<TimeNs>(perturb_rng_.next_below(
+          static_cast<std::uint64_t>(perturb_->max_jitter) + 1));
+    }
+    if (perturb_->shuffle_ties) tie = perturb_rng_.next_u64();
+  }
+  if (stats_) ++stats_->scheduled;
+  return EventTicket{fire_time, tie, seq_++};
+}
 
 }  // namespace adapt::sim

@@ -15,6 +15,10 @@ EventHandle Simulator::after(TimeNs delay, EventFn fn) {
   return queue_.push(now_ + delay, std::move(fn));
 }
 
+EventHandle Simulator::push_ticket(const EventTicket& ticket, EventFn fn) {
+  return queue_.push_ticket(ticket, std::move(fn));
+}
+
 TimeNs Simulator::run(TimeNs until) {
   while (!queue_.empty() && queue_.next_time() <= until) {
     auto [t, fn] = queue_.pop();

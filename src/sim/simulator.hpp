@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "src/sim/event_queue.hpp"
+#include "src/support/error.hpp"
 #include "src/support/units.hpp"
 
 namespace adapt::sim {
@@ -32,6 +33,17 @@ class Simulator {
 
   /// Schedules `fn` after a relative delay (must be >= 0).
   EventHandle after(TimeNs delay, EventFn fn);
+
+  /// Reserves the event key at(t) would take now, queueing nothing (see
+  /// EventQueue's ticket contract). `t` must be >= now().
+  EventTicket reserve(TimeNs t) {
+    ADAPT_CHECK(t >= now_) << "reserving into the past: t=" << t
+                           << " now=" << now_;
+    return queue_.reserve(t);
+  }
+
+  /// Queues `fn` at a reserved key; takes no sequence number or draw.
+  EventHandle push_ticket(const EventTicket& ticket, EventFn fn);
 
   /// Runs until the event queue drains or `until` is passed; returns the
   /// final virtual time. Events exactly at `until` still fire.

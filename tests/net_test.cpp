@@ -184,6 +184,10 @@ TEST(Fabric, SolverWorkIsBoundedByClassesNotFlows) {
   EXPECT_LE(stats.classes_visited, 4 * stats.rebalances);
   EXPECT_EQ(stats.classes_visited, 1780u);
   EXPECT_EQ(stats.flows_rescheduled, 32754u);
+  // Each class keeps one queued completion and re-pushes it only when its
+  // least ticket moves: ~4 queue pushes per flow where a per-flow push
+  // took ~128.
+  EXPECT_EQ(stats.completions_armed, 1007u);
 }
 
 // ------------------------------------------------ randomized solver anchor ---

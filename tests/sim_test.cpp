@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/task.hpp"
 #include "src/support/error.hpp"
+#include "src/support/rng.hpp"
 
 namespace adapt::sim {
 namespace {
@@ -273,6 +276,160 @@ TEST(EventQueuePerturb, DisablingRestoresFifo) {
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_FALSE(q.perturbed());
+}
+
+// -- tickets: reserve a push's key now, queue the event later --------------
+
+TEST(EventQueueTicket, DeferredPushTakesThePushesPlace) {
+  // Reference: three plain pushes at one time fire in push order.
+  EventQueue plain;
+  std::vector<int> want;
+  for (int i = 0; i < 3; ++i) plain.push(5, [&want, i] { want.push_back(i); });
+  while (!plain.empty()) plain.pop().second();
+
+  // Event 0's key is reserved first but queued last: it still fires first,
+  // and the plain pushes made after the reservation keep their keys.
+  EventQueue q;
+  std::vector<int> got;
+  const EventTicket first = q.reserve(5);
+  q.push(5, [&got] { got.push_back(1); });
+  q.push(5, [&got] { got.push_back(2); });
+  EXPECT_EQ(q.size(), 2u);
+  q.push_ticket(first, [&got] { got.push_back(0); });
+  EXPECT_EQ(q.total_scheduled(), 3u);  // the ticket counted once, at reserve
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(got, want);
+}
+
+TEST(EventQueueTicket, CancelledTicketCanBePushedAgain) {
+  EventQueue q;
+  std::vector<int> got;
+  const EventTicket t = q.reserve(10);
+  q.push(10, [&got] { got.push_back(1); });
+  q.push_ticket(t, [&got] { got.push_back(-1); }).cancel();
+  q.push_ticket(t, [&got] { got.push_back(0); });
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(got, (std::vector<int>{0, 1}));
+}
+
+TEST(EventQueueTicket, RejectsTicketsInThePast) {
+  Simulator s;
+  const EventTicket early = s.reserve(5);
+  s.after(10, [] {});
+  s.run();
+  EXPECT_THROW(s.push_ticket(early, [] {}), Error);
+  EXPECT_THROW(s.reserve(9), Error);
+}
+
+/// One seeded random schedule: every event, when it fires, schedules up to
+/// three follow-ups at short delays (zero a third of the time, so ties are
+/// common) until 600 have been scheduled. With `deferred`, every third
+/// scheduling call instead reserves a ticket into a pool that keeps only its
+/// least ticket queued — cancelling and re-pushing it when a smaller one
+/// arrives, pushing the next one when it fires, always after the callback's
+/// plain pushes — as net::Fabric does per flow class. Returns the (time, id)
+/// pop sequence; ids number the scheduling calls.
+struct TicketRun {
+  std::vector<std::pair<TimeNs, int>> fired;
+  std::uint64_t scheduled = 0;
+  int repushed = 0;  // pool tickets queued again after a cancel
+};
+
+TicketRun run_ticket_schedule(const std::optional<PerturbConfig>& perturb,
+                              std::uint64_t seed, bool deferred) {
+  EventQueue q;
+  q.set_perturbation(perturb);
+  Rng rng(seed);
+  TicketRun run;
+  TimeNs now = 0;
+  int next_id = 0;
+  struct Held {
+    EventTicket ticket;
+    int id;
+    bool was_queued;
+  };
+  std::vector<Held> pool;
+  EventHandle armed;
+  std::optional<std::uint64_t> armed_seq;
+  std::function<void(int)> fire;
+
+  auto schedule = [&](TimeNs t) {
+    const int id = next_id++;
+    if (deferred && id % 3 == 1) {
+      pool.push_back({q.reserve(t), id, false});
+    } else {
+      q.push(t, [&fire, id] { fire(id); });
+    }
+  };
+  auto rearm = [&] {
+    if (pool.empty()) return;
+    auto least = std::min_element(
+        pool.begin(), pool.end(),
+        [](const Held& a, const Held& b) { return a.ticket < b.ticket; });
+    if (armed_seq == least->ticket.seq) return;
+    if (armed_seq) armed.cancel();
+    if (least->was_queued) ++run.repushed;
+    least->was_queued = true;
+    const std::uint64_t seq = least->ticket.seq;
+    armed_seq = seq;
+    armed = q.push_ticket(least->ticket, [&, seq] {
+      auto it = std::find_if(pool.begin(), pool.end(), [seq](const Held& h) {
+        return h.ticket.seq == seq;
+      });
+      const int id = it->id;
+      pool.erase(it);
+      armed_seq.reset();
+      fire(id);
+    });
+  };
+  fire = [&](int id) {
+    run.fired.emplace_back(now, id);
+    const int spawn = next_id < 600 ? static_cast<int>(rng.next_below(4)) : 0;
+    for (int k = 0; k < spawn; ++k) {
+      const TimeNs delay =
+          rng.next_below(3) == 0 ? 0 : static_cast<TimeNs>(rng.next_below(40));
+      schedule(now + delay);
+    }
+    rearm();
+  };
+
+  for (int i = 0; i < 12; ++i) {
+    schedule(static_cast<TimeNs>(rng.next_below(20)));
+  }
+  rearm();
+  while (!q.empty()) {
+    auto [t, fn] = q.pop();
+    now = t;
+    fn();
+  }
+  EXPECT_TRUE(pool.empty());
+  run.scheduled = q.total_scheduled();
+  return run;
+}
+
+TEST(EventQueueTicket, DeferredPushesKeepEveryScheduleByteIdentical) {
+  const std::optional<PerturbConfig> modes[] = {
+      std::nullopt,
+      PerturbConfig{.seed = 11, .shuffle_ties = true},
+      PerturbConfig{.seed = 12, .shuffle_ties = true, .max_jitter = 25},
+      PerturbConfig{.seed = 13, .shuffle_ties = false, .max_jitter = 7},
+  };
+  int repushed = 0;
+  for (std::size_t m = 0; m < std::size(modes); ++m) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      std::optional<PerturbConfig> mode = modes[m];
+      if (mode) mode->seed += 100 * seed;
+      const TicketRun plain = run_ticket_schedule(mode, seed, false);
+      const TicketRun ticketed = run_ticket_schedule(mode, seed, true);
+      ASSERT_GT(plain.fired.size(), 12u);
+      EXPECT_EQ(ticketed.fired, plain.fired)
+          << "mode " << m << " seed " << seed;
+      EXPECT_EQ(ticketed.scheduled, plain.scheduled);
+      repushed += ticketed.repushed;
+    }
+  }
+  // The pools did cancel queued tickets and push them again.
+  EXPECT_GT(repushed, 0);
 }
 
 }  // namespace
