@@ -438,13 +438,6 @@ void Fabric::rebalance_component(int seed_class) {
       fc.level = fc.rate;
       fc.gained = false;
     }
-    if (merge_.size() == 1) {
-      // One class: its member list is already in activation order.
-      for (int fi = merge_.front().second; fi >= 0;) {
-        fi = settle_member(fi, now);
-      }
-      continue;
-    }
     std::make_heap(merge_.begin(), merge_.end(), later);
     while (!merge_.empty()) {
       std::pop_heap(merge_.begin(), merge_.end(), later);
@@ -467,15 +460,18 @@ int Fabric::settle_member(int flow_index, TimeNs now) {
   FlowClass& fc = classes_[static_cast<std::size_t>(f.cls)];
   const bool changed =
       std::abs(fc.rate - f.rate) > kRateEps * std::max(1.0, f.rate);
-  if (changed || !f.ticketed) {
+  // start_flow resets the rate to 0, so a member's first settle is a
+  // change unless its class is starved, which the check below catches.
+  if (changed) {
     f.remaining = std::max(
         0.0, f.remaining - f.rate * static_cast<double>(now - f.settled_at));
     f.settled_at = now;
     f.rate = fc.rate;
     ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
     f.ticket = sim_.reserve(now + duration_of(f.remaining, f.rate));
-    f.ticketed = true;
     ++stats_.flows_rescheduled;
+  } else {
+    ADAPT_CHECK(f.rate > 0.0) << "active flow starved";
   }
   if (fc.earliest < 0 ||
       f.ticket < flows_[static_cast<std::size_t>(fc.earliest)].ticket) {

@@ -122,24 +122,21 @@ class Fabric {
   SolverStats solver_stats() const { return stats_; }
 
  private:
-  /// Fields a solve reads and writes per member come first: they fill the
-  /// first 72 bytes of the 64-byte-aligned record.
-  struct alignas(64) Flow {
+  struct Flow {
     int cls = -1;                  // FlowClass index
+    std::uint64_t seq = 0;         // activation order (fabric-wide)
     int prev = -1;                 // intrusive member list of the class
     int next = -1;
-    bool active = false;
-    bool ticketed = false;         // the slot has held a ticket (never reset)
     double remaining = 0.0;        // bytes
     double rate = 0.0;             // bytes/ns
     TimeNs settled_at = 0;         // virtual time `remaining` refers to
-    std::uint64_t seq = 0;         // activation order (fabric-wide)
-    sim::EventTicket ticket;       // completion key of the last settle
     std::int64_t serial_key = -1;
     std::uint64_t trace = 0;       // obs record id (0 = untraced)
     Bytes bytes_total = 0;         // original size, for link byte counters
     TimeNs ideal = 0;              // uncontended duration at the cap
     sim::EventFn on_complete;
+    sim::EventTicket ticket;       // completion key of the last settle
+    bool active = false;
   };
 
   /// A transfer parked behind its pair's busy transmit queue. Lives in a

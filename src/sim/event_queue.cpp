@@ -108,43 +108,13 @@ void EventQueue::pop_top() const {
 }
 
 EventHandle EventQueue::push(TimeNs time, EventFn fn) {
-  TimeNs fire_time = time;
-  std::uint64_t tie = seq_;
-  if (perturb_) {
-    if (perturb_->max_jitter > 0) {
-      fire_time += static_cast<TimeNs>(perturb_rng_.next_below(
-          static_cast<std::uint64_t>(perturb_->max_jitter) + 1));
-    }
-    if (perturb_->shuffle_ties) tie = perturb_rng_.next_u64();
-  }
-  return emplace(fire_time, tie, std::move(fn));
+  // A push is a reservation queued at once, so a ticket pushed later sits
+  // exactly where this push would have put it.
+  return push_ticket(reserve(time), std::move(fn));
 }
 
 EventHandle EventQueue::push_ticket(const EventTicket& ticket, EventFn fn) {
-  ADAPT_CHECK(ticket.time >= last_)
-      << "ticket at " << ticket.time
-      << " is before the queue's current time " << last_
-      << " (simulated time is monotone)";
-  const std::uint32_t slot = acquire_slot();
-  detail::EventRecord& rec = slab_->record(slot);
-  rec.fn = std::move(fn);
-  const Entry e{ticket.time, ticket.tie, ticket.seq, slot, rec.gen};
-  const std::uint64_t diff = static_cast<std::uint64_t>(ticket.time) ^
-                             static_cast<std::uint64_t>(last_);
-  if (diff == 0) {
-    cohort_.push_back(e);
-    sift_up(cohort_.size() - 1);
-  } else {
-    const int level = level_of(diff);
-    buckets_[static_cast<std::size_t>(level)].push_back(e);
-    bucket_mask_ |= 1ull << level;
-  }
-  ++count_;
-  if (stats_) {
-    stats_->max_depth = std::max<std::uint64_t>(stats_->max_depth, count_);
-  }
-  if (slab_->cancelled_in_heap * 2 > count_) compact();
-  return EventHandle(slab_.get(), slot, rec.gen);
+  return emplace(ticket.time, ticket.tie, ticket.seq, std::move(fn));
 }
 
 EventHandle EventQueue::push_keyed(TimeNs time, std::uint64_t tie,
@@ -153,11 +123,12 @@ EventHandle EventQueue::push_keyed(TimeNs time, std::uint64_t tie,
   // the actual schedule; the sharded engine rejects perturbed runs upstream.
   ADAPT_CHECK(!perturb_)
       << "push_keyed is incompatible with schedule perturbation";
-  return emplace(time, tie, std::move(fn));
+  if (stats_) ++stats_->scheduled;
+  return emplace(time, tie, seq_++, std::move(fn));
 }
 
 EventHandle EventQueue::emplace(TimeNs fire_time, std::uint64_t tie,
-                                EventFn fn) {
+                                std::uint64_t seq, EventFn fn) {
   ADAPT_CHECK(fire_time >= last_)
       << "event scheduled at " << fire_time
       << " is before the queue's current time " << last_
@@ -165,7 +136,7 @@ EventHandle EventQueue::emplace(TimeNs fire_time, std::uint64_t tie,
   const std::uint32_t slot = acquire_slot();
   detail::EventRecord& rec = slab_->record(slot);
   rec.fn = std::move(fn);
-  const Entry e{fire_time, tie, seq_++, slot, rec.gen};
+  const Entry e{fire_time, tie, seq, slot, rec.gen};
   const std::uint64_t diff = static_cast<std::uint64_t>(fire_time) ^
                              static_cast<std::uint64_t>(last_);
   if (diff == 0) {
@@ -178,7 +149,6 @@ EventHandle EventQueue::emplace(TimeNs fire_time, std::uint64_t tie,
   }
   ++count_;
   if (stats_) {
-    ++stats_->scheduled;
     stats_->max_depth = std::max<std::uint64_t>(stats_->max_depth, count_);
   }
   // Lazy cancellation, bounded: once cancelled entries outnumber live ones,

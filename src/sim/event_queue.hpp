@@ -38,13 +38,15 @@
 // perturbed, the same jitter and tie draws in the same order — and returns
 // the resulting (time, tie, seq) key without queueing anything.
 // push_ticket(ticket, fn) later queues an event at that key and takes
-// nothing. Since the pop order is the unique ascending key order, a caller
-// that holds several tickets and keeps only their minimum queued (the fabric
-// does, one per flow class) pops in exactly the order it would have if it
-// had pushed every ticket: the reservation point, not the push, fixes the
-// schedule. A ticket may be pushed, cancelled and pushed again; it must not
-// be queued twice at once, and it must not be pushed below the queue's
-// current time (the same monotone check push makes).
+// nothing. push(time, fn) is push_ticket(reserve(time), fn), so the two
+// paths cannot take different keys. Since the pop order is the unique
+// ascending key order, a caller that holds several tickets and keeps only
+// their minimum queued (the fabric does, one per flow class) pops in exactly
+// the order it would have if it had pushed every ticket: the reservation
+// point, not the push, fixes the schedule. A ticket may be pushed, cancelled
+// and pushed again; it must not be queued twice at once, and it must not be
+// pushed below the queue's current time (the same monotone check push
+// makes).
 //
 // Lifetime contract: an EventHandle may not outlive its EventQueue (handles
 // hold an unowned pointer to the queue's slab; cancel() on a handle whose
@@ -265,10 +267,10 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Shared tail of push/push_keyed: slot acquisition, radix placement,
-  /// stats, bounded compaction. push_ticket repeats the placement rather
-  /// than share it, so the push paths' code stays as it is.
-  EventHandle emplace(TimeNs fire_time, std::uint64_t tie, EventFn fn);
+  /// Shared tail of push_ticket/push_keyed: slot acquisition, radix
+  /// placement, depth stats, bounded compaction. Takes no sequence number.
+  EventHandle emplace(TimeNs fire_time, std::uint64_t tie, std::uint64_t seq,
+                      EventFn fn);
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) const;
@@ -304,11 +306,9 @@ class EventQueue {
   Rng perturb_rng_{0};
 };
 
-// Inline: the fabric reserves one ticket per re-settled flow, its hottest
-// call into the queue.
+// Inline: every push goes through it, and the fabric reserves one ticket per
+// re-settled flow, its hottest call into the queue.
 inline EventTicket EventQueue::reserve(TimeNs time) {
-  // The same draws, in the same order, as push: a ticket later pushed sits
-  // exactly where the push would have put it.
   TimeNs fire_time = time;
   std::uint64_t tie = seq_;
   if (perturb_) {

@@ -301,6 +301,29 @@ TEST(EventQueueTicket, DeferredPushTakesThePushesPlace) {
   EXPECT_EQ(got, want);
 }
 
+TEST(EventQueueTicket, ReserveTakesThePerturbationDrawsOfAPush) {
+  // A perturbed queue draws the jitter, then the tie, from Rng(seed) on
+  // every push; a reserve must take the same two draws in the same place.
+  constexpr std::uint64_t kSeed = 21;
+  constexpr TimeNs kJitter = 25;
+  EventQueue q;
+  q.set_perturbation(PerturbConfig{
+      .seed = kSeed, .shuffle_ties = true, .max_jitter = kJitter});
+  Rng draws(kSeed);
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    const TimeNs t = static_cast<TimeNs>(100 + 3 * i);
+    const TimeNs jitter = static_cast<TimeNs>(
+        draws.next_below(static_cast<std::uint64_t>(kJitter) + 1));
+    const std::uint64_t tie = draws.next_u64();
+    if (i % 3 == 2) {
+      q.push(t, [] {});
+      continue;
+    }
+    EXPECT_EQ(q.reserve(t), (EventTicket{t + jitter, tie, i})) << "call " << i;
+  }
+  EXPECT_EQ(q.total_scheduled(), 32u);
+}
+
 TEST(EventQueueTicket, CancelledTicketCanBePushedAgain) {
   EventQueue q;
   std::vector<int> got;
